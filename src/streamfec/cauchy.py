@@ -1,8 +1,9 @@
-"""Cauchy matrices over GF(2^e) and exact dense linear algebra.
+"""Cauchy matrices over GF(2^e), and square solves for their subsystems.
 
 Every square submatrix of a Cauchy matrix is invertible. That is the whole
 point of using one as a parity generator: any square subset of parity
-equations can be solved for any equally sized subset of unknowns.
+equations can be solved for any equally sized subset of unknowns. The
+solve runs on the elimination core in `streamfec.linear`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .gf import GF
+from .linear import IncrementalDecoder, InconsistentSystemError
 
 
 class SingularMatrixError(Exception):
@@ -93,24 +95,20 @@ def vec_mat(fld: GF, vec: Sequence[int], mat: Sequence[Sequence[int]]) -> list[i
 
 
 def solve(fld: GF, mat: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int]:
-    """Solve mat @ x = rhs by Gaussian elimination, first-nonzero pivoting.
+    """Solve mat @ x = rhs for a square nonsingular `mat`.
 
-    Exact arithmetic: there is no pivot-magnitude concern in a finite field.
+    Raises SingularMatrixError when `mat` is singular, whether or not the
+    system happens to be consistent.
     """
     n = len(mat)
     if any(len(row) != n for row in mat) or len(rhs) != n:
         raise ValueError("solve needs a square system")
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise SingularMatrixError(f"no pivot available in column {col}")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = fld.inv(aug[col][col])
-        aug[col] = [fld.mul(inv_p, v) for v in aug[col]]
-        prow = aug[col]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v ^ fld.mul(factor, prow[j]) for j, v in enumerate(aug[r])]
-    return [aug[i][n] for i in range(n)]
+    dec = IncrementalDecoder(fld, n)
+    try:
+        independent = all(dec.add_equation(row, v) for row, v in zip(mat, rhs))
+    except InconsistentSystemError as exc:
+        raise SingularMatrixError("singular system with inconsistent rows") from exc
+    if not independent:
+        raise SingularMatrixError("a row depends on the rows before it")
+    values = dec.determined()
+    return [values[j] for j in range(n)]

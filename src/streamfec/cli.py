@@ -92,25 +92,22 @@ def _config_dict(args, extra: dict | None = None) -> dict:
     return cfg
 
 
-def _apply_config_file(args, argv: list[str], subparser: argparse.ArgumentParser):
-    """Precedence: explicit flags beat the config file, which beats defaults."""
-    if not getattr(args, "config", None):
-        return args
+def _apply_config_file(args, subparser: argparse.ArgumentParser) -> None:
+    """Make the config file's values the subcommand's defaults.
+
+    Parsing again afterwards gives the precedence: explicit flags, in any
+    spelling argparse accepts, beat the file, which beats built-in defaults.
+    """
     with open(args.config, encoding="utf-8") as fh:
         overrides = json.load(fh)
-    explicit = set()
-    given_opts = {a.split("=")[0] for a in argv if a.startswith("-")}
-    for action in subparser._actions:
-        if any(opt in given_opts for opt in action.option_strings):
-            explicit.add(action.dest)
-    for key, val in overrides.items():
-        if key in ("config", "func", "command"):
-            continue
-        if key not in vars(args):
-            raise ConfigError(f"unknown config key {key!r} in {args.config}")
-        if key not in explicit:
-            setattr(args, key, val)
-    return args
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{args.config} must hold one JSON object")
+    for key in ("config", "func", "command"):
+        overrides.pop(key, None)
+    unknown = sorted(set(overrides) - set(vars(args)))
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r} in {args.config}")
+    subparser.set_defaults(**overrides)
 
 
 def _emit(args, text: str) -> None:
@@ -428,7 +425,9 @@ def main(argv: list[str] | None = None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, argv, commands[args.command])
+        if getattr(args, "config", None):
+            _apply_config_file(args, commands[args.command])
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from . import baselines, vgms
 from .cauchy import build_cauchy
-from .gf import GF
+from .gf import GF, in_field
 from .linear import IncrementalDecoder
 from .model import CodeParams, SizeSequence, require_valid, symbol_offsets
 from .vgms import DecodeResult
@@ -79,6 +79,8 @@ class LinearCodec:
         flat = [s for pkt in payload for s in pkt]
         if len(flat) != self._offsets[-1]:
             raise ValueError("payload does not match the size sequence")
+        if not in_field(self.field, flat):
+            raise ValueError("payload has an out-of-field symbol")
         return self.stream.packet_values(flat, self.field)
 
     def decode(self, received: Sequence[Sequence[int] | None]) -> DecodeResult:
@@ -93,6 +95,8 @@ class LinearCodec:
                 rows = self.stream.slot_rows[s]
                 if len(pkt) != len(rows):
                     raise ValueError(f"packet at slot {s} has unexpected length")
+                if not in_field(self.field, pkt):
+                    raise ValueError(f"packet at slot {s} has an out-of-field symbol")
                 for row, val in zip(rows, pkt):
                     dense = [0] * n_msg
                     for idx, c in row.items():

@@ -10,6 +10,8 @@ generated with schoolbook polynomial multiplication, which stays exposed
 
 from __future__ import annotations
 
+from typing import Sequence
+
 # One irreducible (in fact primitive) polynomial per degree, as bitmasks.
 DEFAULT_POLYS = {
     1: 0b11,
@@ -97,8 +99,6 @@ class GF:
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
-    sub = add  # characteristic 2: subtraction is addition
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -109,16 +109,6 @@ class GF:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         n = self.order - 1
         return self._exp[(n - self._log[a]) % n]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, n: int) -> int:
-        if n == 0:
-            return 1
-        if a == 0:
-            return 0
-        return self._exp[(self._log[a] * n) % (self.order - 1)]
 
     def mul_schoolbook(self, a: int, b: int) -> int:
         """Carry-less multiply reduced mod the field polynomial; no tables."""
@@ -132,11 +122,14 @@ class GF:
                 a ^= self.poly
         return acc
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self) -> str:
         return f"GF(2^{self.degree}, poly=0x{self.poly:x})"
+
+
+def in_field(fld: GF, symbols: Sequence[int]) -> bool:
+    """Is every symbol an element of `fld`? One min/max pass, cheap next to
+    the arithmetic."""
+    return not symbols or (min(symbols) >= 0 and max(symbols) < fld.order)
 
 
 _FIELD_CACHE: dict[tuple[int, int | None], GF] = {}

@@ -1,11 +1,12 @@
-"""Exact linear algebra over GF(2^e): rowspace tests, incremental decoding.
+"""Exact linear algebra over GF(2^e): the package's one elimination core.
 
 The incremental decoder is the generic receiver for any linear scheme: feed
 it each received channel symbol as an equation over the flat message symbol
 vector and ask which unknowns are pinned down so far. Unknown j is
 determined exactly when e_j lies in the rowspace of the received equations;
 with the basis kept in reduced row echelon form that is the case when j is
-a pivot whose row has no other nonzero entry.
+a pivot whose row has no other nonzero entry. Rowspace membership here and
+`cauchy.solve` are both answered by the same elimination.
 """
 
 from __future__ import annotations
@@ -19,28 +20,6 @@ class InconsistentSystemError(Exception):
     """An equation contradicted the ones already absorbed."""
 
 
-def in_rowspace(fld: GF, rows: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
-    """Is `target` a linear combination of `rows`?"""
-    basis: list[tuple[int, list[int]]] = []  # (pivot, normalized row)
-    for row in rows:
-        r = list(row)
-        for piv, brow in basis:
-            if r[piv]:
-                f = r[piv]
-                r = [a ^ fld.mul(f, c) for a, c in zip(r, brow)]
-        piv = next((j for j, v in enumerate(r) if v), None)
-        if piv is None:
-            continue
-        inv_p = fld.inv(r[piv])
-        basis.append((piv, [fld.mul(inv_p, v) for v in r]))
-    tgt = list(target)
-    for piv, brow in basis:
-        if tgt[piv]:
-            f = tgt[piv]
-            tgt = [a ^ fld.mul(f, c) for a, c in zip(tgt, brow)]
-    return not any(tgt)
-
-
 class IncrementalDecoder:
     """Absorbs linear equations one at a time over `n` unknowns."""
 
@@ -50,7 +29,13 @@ class IncrementalDecoder:
         self._rows: list[list[int]] = []  # each row: n coefficients + value
         self._pivots: list[int] = []
 
-    def add_equation(self, coeffs: Sequence[int], value: int) -> None:
+    def add_equation(self, coeffs: Sequence[int], value: int) -> bool:
+        """Absorb coeffs . x = value.
+
+        Returns True when the equation was independent of those absorbed so
+        far and False when they already implied it. Raises
+        InconsistentSystemError when they contradict it.
+        """
         fld = self.field
         r = list(coeffs) + [value]
         for piv, row in zip(self._pivots, self._rows):
@@ -61,7 +46,7 @@ class IncrementalDecoder:
         if piv is None:
             if r[self.n]:
                 raise InconsistentSystemError("0 = nonzero after reduction")
-            return
+            return False
         inv_p = fld.inv(r[piv])
         r = [fld.mul(inv_p, v) for v in r]
         for i, row in enumerate(self._rows):
@@ -70,6 +55,7 @@ class IncrementalDecoder:
                 self._rows[i] = [a ^ fld.mul(f, c) for a, c in zip(row, r)]
         self._rows.append(r)
         self._pivots.append(piv)
+        return True
 
     def determined(self) -> dict[int, int]:
         """Values of every unknown that is uniquely pinned down so far."""
@@ -78,3 +64,11 @@ class IncrementalDecoder:
             if all(row[j] == 0 for j in range(self.n) if j != piv):
                 out[piv] = row[self.n]
         return out
+
+
+def in_rowspace(fld: GF, rows: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
+    """Is `target` a linear combination of `rows`?"""
+    dec = IncrementalDecoder(fld, len(target))
+    for row in rows:
+        dec.add_equation(row, 0)
+    return not dec.add_equation(target, 0)

@@ -10,7 +10,6 @@ comparisons downstream hinge on exact ties.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -247,17 +246,3 @@ def transcript_records_json(tr: Transcript) -> list[dict]:
             row.update(tr.layout[rec.slot])
         rows.append(row)
     return rows
-
-
-def write_transcript(path: str, tr: Transcript, config: dict | None = None) -> None:
-    """Line-delimited JSON: a config header, then one object per slot."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if config is not None:
-            fh.write(json.dumps({"config": config}, sort_keys=True) + "\n")
-        for row in transcript_records_json(tr):
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def read_jsonl(path: str) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .cauchy import CauchyMatrix, solve
 from .channel import erased_runs, is_admissible
-from .gf import GF
+from .gf import GF, in_field
 from .model import CodeParams, SizeSequence, require_valid
 
 
@@ -37,14 +37,43 @@ class DecodeFailure(Exception):
     """Recovery failed where the construction guarantees success."""
 
 
-@dataclass
 class VgmsLayout:
-    """Per-slot split and parity sizes, a pure function of the size sequence."""
+    """Per-slot split and parity sizes, grown one slot at a time by `split`.
 
-    head_sizes: list[int]  # early-recovery piece of each message
-    tail_sizes: list[int]  # remainder, recovered at exactly tau
-    parity_sizes: list[int]  # indexed 0..t+tau; slots beyond t are never sent
-    budgets: list[int | None]  # spare-parity minimum at each split, None before slot b
+    A pure function of the size sequence, so the decoder rebuilds exactly
+    what the encoder used.
+    """
+
+    def __init__(self, p: CodeParams) -> None:
+        self.params = p
+        self.k_sizes: list[int] = []
+        self.head_sizes: list[int] = []  # early-recovery piece of each message
+        self.tail_sizes: list[int] = []  # remainder, recovered at exactly tau
+        # indexed 0..t+tau; slots beyond t are never sent
+        self.parity_sizes: list[int] = [0] * p.tau
+        # spare-parity minimum at each split, None before slot b
+        self.budgets: list[int | None] = []
+
+    def split(self, k: int) -> int:
+        """Split the next slot's message of `k` symbols; returns its head size.
+
+        Reads only the sizes of earlier slots, which keeps the code online.
+        """
+        p = self.params
+        i = len(self.k_sizes)
+        if k > p.m:
+            raise ValueError(f"message size {k} at slot {i} exceeds m={p.m}")
+        budget = None
+        head = 0
+        if i >= p.b:
+            budget = parity_budget(self.k_sizes, self.parity_sizes, i, p.tau, p.b)
+            head = min(k, max(budget, 0))  # the budget is provably never negative
+        self.k_sizes.append(k)
+        self.head_sizes.append(head)
+        self.tail_sizes.append(k - head)
+        self.parity_sizes.append(k - head)  # lands at slot i + tau
+        self.budgets.append(budget)
+        return head
 
     def n_size(self, seq: SizeSequence, i: int) -> int:
         return seq.size(i) + self.parity_sizes[i]
@@ -70,14 +99,11 @@ def parity_budget(
     j+b .. i+tau-1 minus message symbols of slots j .. i-1. Requires i >= b,
     so j never goes negative.
     """
-    best: int | None = None
-    for j in range(i - b + 1, i + 1):
-        have = sum(parity_sizes[j + b : i + tau])
-        need = sum(k_sizes[j:i])
-        spare = have - need
-        if best is None or spare < best:
+    best = sum(parity_sizes[i + b : i + tau])  # j = i: nothing queued yet
+    for j in range(i - b + 1, i):
+        spare = sum(parity_sizes[j + b : i + tau]) - sum(k_sizes[j:i])
+        if spare < best:
             best = spare
-    assert best is not None
     return best
 
 
@@ -88,27 +114,10 @@ def packet_layout(seq: SizeSequence, p: CodeParams) -> VgmsLayout:
     size sequence, which is public side information.
     """
     require_valid(p)
-    t = seq.t
-    tau, b = p.tau, p.b
-    for i in range(t + 1):
-        if seq.size(i) > p.m:
-            raise ValueError(f"message size {seq.size(i)} at slot {i} exceeds m={p.m}")
-    k = [seq.size(i) for i in range(t + 1)]
-    parity = [0] * (t + tau + 1)
-    for i in range(tau, tau + b):
-        parity[i] = seq.size(i - tau)
-    head = [0] * (t + 1)
-    tail = [0] * (t + 1)
-    budgets: list[int | None] = [None] * (t + 1)
-    for i in range(min(b, t + 1)):
-        tail[i] = k[i]
-    for i in range(b, t + 1):
-        z = parity_budget(k, parity, i, tau, b)
-        budgets[i] = z
-        head[i] = min(k[i], max(z, 0))  # the budget is provably never negative
-        tail[i] = k[i] - head[i]
-        parity[i + tau] = tail[i]
-    return VgmsLayout(head, tail, parity, budgets)
+    layout = VgmsLayout(p)
+    for k in seq:
+        layout.split(k)
+    return layout
 
 
 class VgmsEncoder:
@@ -126,62 +135,40 @@ class VgmsEncoder:
         self.params = p
         self.field = fld
         self.matrix = matrix
-        self._slot = 0
-        self._k: list[int] = []
-        self._parity_sizes: list[int] = [0] * p.tau  # grows to slot + tau
+        self.layout = VgmsLayout(p)
         self._recent: list[tuple[int, list[int], list[int]]] = []  # (slot, head, tail)
-        self.head_sizes: list[int] = []
-        self.tail_sizes: list[int] = []
-        self.budgets: list[int | None] = []
 
     @property
     def next_slot(self) -> int:
-        return self._slot
+        return len(self.layout.k_sizes)
 
     def encode_slot(self, symbols: Sequence[int]) -> list[int]:
         p = self.params
-        i = self._slot
-        k = len(symbols)
-        if k > p.m:
-            raise ValueError(f"message of {k} symbols exceeds m={p.m}")
-        if any(not 0 <= s < self.field.order for s in symbols):
-            raise ValueError("symbol outside the field")
-
-        if i < p.b:
-            head_n = 0
-            self.budgets.append(None)
-        else:
-            z = parity_budget(self._k, self._parity_sizes, i, p.tau, p.b)
-            self.budgets.append(z)
-            head_n = min(k, max(z, 0))
+        i = self.next_slot
+        if not in_field(self.field, symbols):
+            raise ValueError(f"message at slot {i} has an out-of-field symbol")
+        head_n = self.layout.split(len(symbols))
         head = list(symbols[:head_n])
         tail = list(symbols[head_n:])
 
         parity: list[int] = []
-        if i >= p.tau:
-            psz = self._parity_sizes[i]
-            if psz:
-                oldest_slot, _, oldest_tail = self._recent[0]
-                assert oldest_slot == i - p.tau and len(oldest_tail) == psz
-                base = (i % p.tau) * p.m
-                cols = list(range(base, base + psz))
-                pairs = []
-                for j, h, _ in self._recent:
-                    jbase = (j % p.tau) * p.m
-                    pairs.extend(
-                        (jbase + off, val) for off, val in enumerate(h) if val
-                    )
-                prime = self.matrix.combine(pairs, cols)
-                parity = [u ^ c for u, c in zip(oldest_tail, prime)]
+        psz = self.layout.parity_sizes[i]
+        if psz:
+            oldest_slot, _, oldest_tail = self._recent[0]
+            if oldest_slot != i - p.tau or len(oldest_tail) != psz:
+                raise ValueError(f"encoder ring out of step at slot {i}")
+            base = (i % p.tau) * p.m
+            cols = list(range(base, base + psz))
+            pairs = []
+            for j, h, _ in self._recent:
+                jbase = (j % p.tau) * p.m
+                pairs.extend((jbase + off, val) for off, val in enumerate(h) if val)
+            prime = self.matrix.combine(pairs, cols)
+            parity = [u ^ c for u, c in zip(oldest_tail, prime)]
 
-        self._k.append(k)
-        self._parity_sizes.append(len(tail))  # lands at slot i + tau
         self._recent.append((i, head, tail))
         if len(self._recent) > p.tau:
             self._recent.pop(0)
-        self.head_sizes.append(head_n)
-        self.tail_sizes.append(len(tail))
-        self._slot += 1
         return list(symbols) + parity
 
 
@@ -198,16 +185,14 @@ def encode_stream(
     seq: SizeSequence,
     payload: Sequence[Sequence[int]],
 ) -> VgmsStream:
-    """Encode a full terminated stream; cross-checks the online state machine
-    against the batch layout computation."""
+    """Encode a full terminated stream slot by slot with the online encoder."""
     if seq.t != p.t:
         raise ValueError(f"sequence has t={seq.t} but params have t={p.t}")
-    layout = packet_layout(seq, p)
+    if [len(pkt) for pkt in payload] != list(seq):
+        raise ValueError("payload does not match the size sequence")
     enc = VgmsEncoder(p, fld, matrix)
-    packets = [enc.encode_slot(payload[i]) for i in range(seq.t + 1)]
-    assert enc.head_sizes == layout.head_sizes
-    assert enc.tail_sizes == layout.tail_sizes
-    return VgmsStream(packets, layout)
+    packets = [enc.encode_slot(pkt) for pkt in payload]
+    return VgmsStream(packets, enc.layout)
 
 
 @dataclass
@@ -252,13 +237,16 @@ def decode_stream(
         k = seq.size(i)
         if len(pkt) != k + layout.parity_sizes[i]:
             raise ValueError(f"packet at slot {i} has unexpected length")
+        if not in_field(fld, pkt):
+            raise ValueError(f"packet at slot {i} has an out-of-field symbol")
         heads[i] = list(pkt[: layout.head_sizes[i]])
         tails[i] = list(pkt[layout.head_sizes[i] : k])
         times[i] = i
 
     def parity_segment(j: int) -> list[int]:
         pkt = received[j]
-        assert pkt is not None
+        if pkt is None:
+            raise DecodeFailure(f"parity slot {j} was erased")
         k = seq.size(j)
         return list(pkt[k : k + layout.parity_sizes[j]])
 
@@ -268,7 +256,8 @@ def decode_stream(
             if l < 0 or l > t or l in skip:
                 continue
             hv = heads[l]
-            assert hv is not None, f"head of slot {l} unexpectedly unknown"
+            if hv is None:
+                raise DecodeFailure(f"head of slot {l} unexpectedly unknown")
             base = (l % tau) * m
             pairs.extend((base + off, val) for off, val in enumerate(hv) if val)
         return pairs
@@ -303,7 +292,8 @@ def decode_stream(
                     cols = list(range(base, base + take))
                     pvec = parity_segment(j)
                     prev_tail = tails[j - tau]
-                    assert prev_tail is not None and len(prev_tail) == psz
+                    if prev_tail is None or len(prev_tail) != psz:
+                        raise DecodeFailure(f"tail of slot {j - tau} unknown")
                     known = matrix.combine(
                         head_pairs(range(j - tau, j), unknown_set), cols
                     )
@@ -334,7 +324,8 @@ def decode_stream(
                 j2 = l + tau
                 if j2 > t or received[j2] is None:
                     raise DecodeFailure(f"parity slot {j2} unavailable for slot {l}")
-                assert layout.parity_sizes[j2] == tail_n
+                if layout.parity_sizes[j2] != tail_n:
+                    raise DecodeFailure(f"parity slot {j2} misses the tail of {l}")
                 base = (j2 % tau) * m
                 cols = list(range(base, base + tail_n))
                 prime = matrix.combine(head_pairs(range(l, j2), set()), cols)
@@ -343,12 +334,14 @@ def decode_stream(
                 times[l] = j2
             else:
                 tails[l] = []
-                assert head_time is not None
+                if head_time is None:
+                    raise DecodeFailure(f"no head decode time for slot {l}")
                 times[l] = head_time
 
     messages = []
     for i in range(t + 1):
         h, u = heads[i], tails[i]
-        assert h is not None and u is not None
+        if h is None or u is None:
+            raise DecodeFailure(f"slot {i} was never recovered")
         messages.append(h + u)
     return DecodeResult(messages, times)

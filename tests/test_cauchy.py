@@ -155,6 +155,8 @@ def test_solve_singular_raises():
     m = [[1, 2], [1, 2]]  # duplicated row, not a Cauchy submatrix
     with pytest.raises(SingularMatrixError):
         solve(fld, m, [1, 1])
+    with pytest.raises(SingularMatrixError):  # singular and inconsistent
+        solve(fld, m, [1, 2])
 
 
 def test_combine_matches_dense_product():

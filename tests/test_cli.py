@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from streamfec.cli import main
 
 
@@ -216,3 +218,16 @@ def test_offline_codec_via_cli(capsys):
         for r in slots
         if r["k"]
     )
+
+
+@pytest.mark.parametrize("flag", [["--field", "8"], ["--field-degree=8"]])
+def test_config_file_loses_to_every_flag_spelling(capsys, tmp_path, flag):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(
+        json.dumps(
+            {"codec": "vgms", "tau": 4, "b": 2, "sizes": "3,2,1,2,1", "field_degree": 16}
+        )
+    )
+    code, out, _ = run_cli(capsys, "encode", *flag, "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["config"]["field_degree"] == 8

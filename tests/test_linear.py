@@ -20,9 +20,9 @@ def test_in_rowspace_basics():
 def test_decoder_pins_unknowns_progressively():
     fld = GF(8)
     dec = IncrementalDecoder(fld, 3)
-    dec.add_equation([1, 1, 0], 5)
+    assert dec.add_equation([1, 1, 0], 5) is True
     assert dec.determined() == {}
-    dec.add_equation([0, 1, 0], 3)
+    assert dec.add_equation([0, 1, 0], 3) is True
     got = dec.determined()
     assert got == {0: 5 ^ 3, 1: 3}
     dec.add_equation([0, 0, 7], fld.mul(7, 9))
@@ -32,8 +32,8 @@ def test_decoder_pins_unknowns_progressively():
 def test_decoder_redundant_consistent_equation_is_absorbed():
     fld = GF(8)
     dec = IncrementalDecoder(fld, 2)
-    dec.add_equation([1, 1], 4)
-    dec.add_equation([1, 1], 4)  # no new information, no error
+    assert dec.add_equation([1, 1], 4) is True
+    assert dec.add_equation([1, 1], 4) is False  # no new information, no error
     assert dec.determined() == {}
 
 
