@@ -1,7 +1,9 @@
 """Command line harness: encode, simulate, verify, gap, sweep.
 
 Exit codes: 0 on success, 1 when an assertion fails (deadline violation,
-minimality gap, non-separation, decode mismatch), 2 for configuration
+minimality gap, non-separation, decode mismatch, or a library error that
+means a construction guarantee broke: `vgms.DecodeFailure`,
+`cauchy.SingularMatrixError`, `gap.GapCheckError`), 2 for configuration
 errors. Every output file embeds the run configuration for replay, and a
 fixed seed reproduces byte-identical outputs.
 """
@@ -16,6 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import gap as gap_mod, oracle
+from .cauchy import SingularMatrixError
 from .codecs import CODEC_IDS, bind_codec
 from .channel import apply_pattern, enumerate_patterns, is_admissible
 from .gf import field
@@ -30,6 +33,7 @@ from .model import (
     terminate_sizes,
     transcript_records_json,
 )
+from .vgms import DecodeFailure
 
 
 class ConfigError(Exception):
@@ -107,7 +111,44 @@ def _apply_config_file(args, subparser: argparse.ArgumentParser) -> None:
     unknown = sorted(set(overrides) - set(vars(args)))
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r} in {args.config}")
-    subparser.set_defaults(**overrides)
+    actions = {action.dest: action for action in subparser._actions}
+    subparser.set_defaults(
+        **{
+            key: _config_value(actions[key], value, args.config)
+            for key, value in overrides.items()
+        }
+    )
+
+
+def _config_value(action: argparse.Action, value, path: str):
+    """A config file value as its flag would parse it.
+
+    argparse type-converts string defaults only, so every value is checked
+    here: a string goes through the flag's type, any other JSON value must
+    already be of that type (an integer for an int flag, never a bool), and
+    the result must be one of the flag's choices. null means "not given"
+    and is accepted only for a flag whose built-in default is None.
+    """
+    if value is None and action.default is None:
+        return None
+    convert = action.type or str
+    if isinstance(value, str):
+        try:
+            value = convert(value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"config key {action.dest!r} in {path}: {value!r} is not {convert.__name__}"
+            ) from exc
+    elif type(value) is not convert:
+        raise ConfigError(
+            f"config key {action.dest!r} in {path} must be {convert.__name__}, got {value!r}"
+        )
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(
+            f"config key {action.dest!r} in {path}: {value!r} is not one of "
+            + ", ".join(map(str, action.choices))
+        )
+    return value
 
 
 def _emit(args, text: str) -> None:
@@ -432,6 +473,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (DecodeFailure, SingularMatrixError, gap_mod.GapCheckError) as exc:
+        # the library found its own guarantee broken: an assertion failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

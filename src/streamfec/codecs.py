@@ -14,7 +14,7 @@ from typing import Sequence
 from . import baselines, vgms
 from .cauchy import build_cauchy
 from .gf import GF, in_field
-from .linear import IncrementalDecoder
+from .linear import IncrementalDecoder, InconsistentSystemError
 from .model import CodeParams, SizeSequence, require_valid, symbol_offsets
 from .vgms import DecodeResult
 
@@ -84,6 +84,12 @@ class LinearCodec:
         return self.stream.packet_values(flat, self.field)
 
     def decode(self, received: Sequence[Sequence[int] | None]) -> DecodeResult:
+        """Decode by incremental elimination, slot by slot.
+
+        Raises ValueError for a packet of the wrong length, an out-of-field
+        symbol, or packets that contradict each other ("received packets
+        are inconsistent"), as a corrupted symbol makes them.
+        """
         seq = self.seq
         n_msg = self._offsets[-1]
         dec = IncrementalDecoder(self.field, n_msg)
@@ -101,7 +107,12 @@ class LinearCodec:
                     dense = [0] * n_msg
                     for idx, c in row.items():
                         dense[idx] = c
-                    dec.add_equation(dense, val)
+                    try:
+                        dec.add_equation(dense, val)
+                    except InconsistentSystemError as exc:
+                        raise ValueError(
+                            f"received packets are inconsistent (slot {s})"
+                        ) from exc
             values = dec.determined()
             done = []
             for i in pending:

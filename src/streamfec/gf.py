@@ -96,6 +96,17 @@ class GF:
                 return exp, log
         raise AssertionError("no multiplicative generator found")
 
+    @property
+    def exp(self) -> list[int]:
+        """Antilog table, doubled: exp[i] = g**i for 0 <= i < 2 * (order - 1),
+        so a sum of two logs indexes it without a reduction. Read only."""
+        return self._exp
+
+    @property
+    def log(self) -> list[int | None]:
+        """Log table: log[a] is the i with g**i == a, None for a == 0. Read only."""
+        return self._log
+
     def add(self, a: int, b: int) -> int:
         return a ^ b
 

@@ -6,7 +6,9 @@ vector and ask which unknowns are pinned down so far. Unknown j is
 determined exactly when e_j lies in the rowspace of the received equations;
 with the basis kept in reduced row echelon form that is the case when j is
 a pivot whose row has no other nonzero entry. Rowspace membership here and
-`cauchy.solve` are both answered by the same elimination.
+`cauchy.solve` are both answered by the same elimination; `cauchy.solve`
+is the generic reference that the closed-form Cauchy subsystem solve
+(`CauchyMatrix.solve_combination`) is tested against.
 """
 
 from __future__ import annotations

@@ -18,8 +18,10 @@ Cauchy matrix against the heads laid out at block offsets ((j mod tau) * m).
 A burst erasing slots s..e is undone in two phases: first the erased heads
 are solved jointly from the parity columns of slots e+1..s+tau-1 (any square
 Cauchy subsystem is invertible; we take the first sum-of-head-sizes columns
-in slot order), then each erased tail falls out of its own parity segment
-tau slots after its slot.
+in slot order). That subsystem is itself a Cauchy matrix, so
+`CauchyMatrix.solve_combination` inverts it in closed form, in O(n^2) for n
+erased head symbols, without building it. Then each erased tail falls out
+of its own parity segment tau slots after its slot.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cauchy import CauchyMatrix, solve
+from .cauchy import CauchyMatrix
 from .channel import erased_runs, is_admissible
 from .gf import GF, in_field
 from .model import CodeParams, SizeSequence, require_valid
@@ -212,8 +214,8 @@ def decode_stream(
 
     Phase 1 per burst: cancel the known tails and heads out of the parity
     segments right after the burst, then solve one square Cauchy system for
-    all erased heads jointly. Phase 2: recover each erased tail from the
-    parity segment exactly tau slots after its slot. Raises ValueError for
+    all erased heads jointly, in closed form. Phase 2: recover each erased
+    tail from the parity segment exactly tau slots after its slot. Raises ValueError for
     an inadmissible pattern and DecodeFailure if recovery is impossible,
     which would mean a construction bug.
     """
@@ -303,10 +305,7 @@ def decode_stream(
                     head_time = j
                 j += 1
 
-            system = [
-                [matrix.entry(r, c) for r in row_positions] for c in used_cols
-            ]
-            solution = solve(fld, system, rhs)
+            solution = matrix.solve_combination(row_positions, used_cols, rhs)
             pos = 0
             for l in unknown:
                 hn = layout.head_sizes[l]

@@ -1,5 +1,7 @@
 """Cauchy construction and exact linear algebra, checked against in-test
-Laplace determinants and a schoolbook product."""
+Laplace determinants and a schoolbook product; the log-domain combine and
+the closed-form solve are checked against the scalar `GF.mul` / `GF.inv`
+product and the elimination `solve`."""
 
 import itertools
 import random
@@ -160,14 +162,58 @@ def test_solve_singular_raises():
 
 
 def test_combine_matches_dense_product():
-    fld = GF(8)
-    a = build_cauchy(6, fld, seed=11)
-    rng = random.Random(4)
-    vec = [rng.randrange(fld.order) for _ in range(6)]
-    cols = [1, 3, 4]
-    dense = vec_mat(fld, vec, a.submatrix(range(6), cols))
-    sparse = a.combine([(i, v) for i, v in enumerate(vec)], cols)
-    assert dense == sparse
+    # the log-domain combine against the scalar GF.mul / GF.inv product,
+    # with zero values among the pairs and non-contiguous columns
+    for degree in (8, 16):
+        fld = GF(degree)
+        a = build_cauchy(40, fld, seed=11)
+        rng = random.Random(4)
+        vec = [rng.randrange(fld.order) if rng.random() < 0.7 else 0 for _ in range(40)]
+        assert 0 in vec
+        for size in (1, 3, 17):
+            cols = rng.sample(range(40), size)
+            dense = vec_mat(fld, vec, a.submatrix(range(40), cols))
+            sparse = a.combine([(i, v) for i, v in enumerate(vec)], cols)
+            assert dense == sparse
+
+
+SOLVE_CASES = [(4, n) for n in (1, 2, 3, 8)] + [
+    (degree, n) for degree in (8, 16) for n in (1, 2, 3, 17, 64)
+] + [(16, 256)]
+
+
+@pytest.mark.parametrize("degree,n", SOLVE_CASES)
+def test_solve_combination_matches_elimination(degree, n):
+    # GF(2^4) hosts at most 8 x 8 Cauchy matrices, hence its smaller sizes
+    fld = GF(degree)
+    dim = min(fld.order // 2, max(2 * n, 8))
+    a = build_cauchy(dim, fld, seed=n)
+    rng = random.Random(degree * 1000 + n)
+    rows = rng.sample(range(dim), n)
+    cols = rng.sample(range(dim), n)
+    rhs = [rng.randrange(fld.order) if rng.random() < 0.8 else 0 for _ in range(n)]
+    rhs[0] = 0
+    x = a.solve_combination(rows, cols, rhs)
+    transposed = [list(col) for col in zip(*a.submatrix(rows, cols))]
+    assert x == solve(fld, transposed, rhs)
+    assert a.combine(zip(rows, x), cols) == rhs
+    assert a.solve_combination(rows, cols, [0] * n) == [0] * n
+
+
+def test_solve_combination_rejects_malformed_systems():
+    a = build_cauchy(6, GF(8), seed=0)
+    with pytest.raises(ValueError):
+        a.solve_combination([0, 1], [2], [1, 1])
+    with pytest.raises(ValueError):
+        a.solve_combination([0, 1], [2, 3], [1])
+    with pytest.raises(ValueError):
+        a.solve_combination([0, 0], [2, 3], [1, 1])
+    with pytest.raises(ValueError):
+        a.solve_combination([0, 1], [3, 3], [1, 1])
+    with pytest.raises(IndexError):
+        a.solve_combination([0, 6], [2, 3], [1, 1])
+    with pytest.raises(IndexError):
+        a.solve_combination([0, 1], [-1, 3], [1, 1])
 
 
 def test_overlapping_point_sets_rejected():

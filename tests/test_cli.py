@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from streamfec.cauchy import SingularMatrixError
 from streamfec.cli import main
+from streamfec.codecs import VgmsCodec
+from streamfec.gap import GapCheckError
+from streamfec.vgms import DecodeFailure
 
 
 def run_cli(capsys, *argv):
@@ -231,3 +235,53 @@ def test_config_file_loses_to_every_flag_spelling(capsys, tmp_path, flag):
     code, out, _ = run_cli(capsys, "encode", *flag, "--config", str(cfg))
     assert code == 0
     assert json.loads(out.splitlines()[0])["config"]["field_degree"] == 8
+
+
+REFERENCE_CONFIG = {"codec": "vgms", "tau": 4, "b": 2, "sizes": "3,2,1,2,1", "field_degree": 8}
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("tau", 4.5),
+        ("tau", True),
+        ("tau", "four"),
+        ("sizes", [3, 2, 1, 2, 1]),
+        ("codec", "nope"),
+        ("field_degree", None),
+    ],
+)
+def test_config_file_value_of_wrong_type_is_config_error(capsys, tmp_path, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**REFERENCE_CONFIG, key: value}))
+    code, _, err = run_cli(capsys, "encode", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error: ") and repr(key) in err
+
+
+def test_config_file_string_numbers_convert_and_null_unsets(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**REFERENCE_CONFIG, "tau": "4", "b": "2", "m": None}))
+    code, _, err = run_cli(capsys, "encode", "--config", str(cfg))
+    assert code == 0
+    assert "rate 9/15" in err
+
+
+@pytest.mark.parametrize("error", [DecodeFailure, SingularMatrixError, GapCheckError])
+def test_library_errors_exit_as_assertion_failures(capsys, monkeypatch, error):
+    def broken_decode(self, received):
+        raise error("construction guarantee broken")
+
+    monkeypatch.setattr(VgmsCodec, "decode", broken_decode)
+    code, _, err = run_cli(
+        capsys,
+        "simulate",
+        "--codec", "vgms",
+        "--tau", "4",
+        "--b", "2",
+        "--sizes", "3,2,1,2,1",
+        "--pattern", "2,3",
+        "--field-degree", "8",
+    )
+    assert code == 1
+    assert err == "error: construction guarantee broken\n"

@@ -1,4 +1,5 @@
-"""Codec adapters reject symbols outside the field at their boundaries."""
+"""Codec adapters reject symbols outside the field and corrupted packets
+at their boundaries."""
 
 import pytest
 
@@ -33,3 +34,16 @@ def test_out_of_field_symbol_rejected(codec_id, bad):
     payload[0][0] = symbol
     with pytest.raises(ValueError, match="out-of-field"):
         codec.encode(payload)
+
+
+def test_corrupted_symbol_is_a_decode_error():
+    # with every packet received, each channel symbol is implied by the
+    # others, so one flipped bit anywhere makes them contradict each other
+    fld, seq, codec = bound_codec("diagonal")
+    packets = codec.encode(random_payload(seq, fld, 0))
+    for slot, pkt in enumerate(packets):
+        for pos in range(len(pkt)):
+            received = [list(p) for p in packets]
+            received[slot][pos] ^= 1
+            with pytest.raises(ValueError, match="received packets are inconsistent"):
+                codec.decode(received)
