@@ -159,8 +159,8 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _transcript_text(tr, config: dict) -> str:
-    lines = [json.dumps({"config": config}, sort_keys=True)]
+def _transcript_text(tr, config: dict, **header) -> str:
+    lines = [json.dumps({"config": config, **header}, sort_keys=True)]
     lines += [json.dumps(row, sort_keys=True) for row in transcript_records_json(tr)]
     return "\n".join(lines) + "\n"
 
@@ -199,9 +199,9 @@ def cmd_encode(args) -> int:
     result = codec.decode(codec.encode(payload))
     layout = codec.trace() if hasattr(codec, "trace") else None
     tr = build_transcript(p, seq, codec.n_sizes, (), result.decode_times, layout)
-    tr.meta["rate"] = str(stream_rate(tr))
-    _emit(args, _transcript_text(tr, _config_dict(args)))
+    stream_rate(tr)  # a stream that sends no channel symbols has no rate
     row = _rate_row(codec, seq, p)
+    _emit(args, _transcript_text(tr, _config_dict(args), rate=row["rate"]))
     print(f"rate {row['rate']} ({row['rate_decimal']})", file=sys.stderr)
     return 0
 

@@ -1,7 +1,8 @@
 """Uniform codec adapters: one object per (codec, params, sequence) binding.
 
-Every adapter exposes encode(payload) -> channel packets and
-decode(received) -> DecodeResult, so the verification oracles and the CLI
+Every adapter exposes encode(payload) -> channel packets,
+decode(received) -> DecodeResult and the per-slot channel sizes n_sizes,
+computed once per binding, so the verification oracles and the CLI
 can drive any codec the same way. The structured codec carries its own
 two-phase decoder; the linear schemes decode through incremental
 elimination, which certifies information-theoretic decodability.
@@ -15,7 +16,7 @@ from . import baselines, vgms
 from .cauchy import build_cauchy
 from .gf import GF, in_field
 from .linear import IncrementalDecoder, InconsistentSystemError
-from .model import CodeParams, SizeSequence, require_valid, symbol_offsets
+from .model import CodeParams, SizeSequence, symbol_offsets
 from .vgms import DecodeResult
 
 CODEC_IDS = ("vgms", "diagonal") + baselines.SCHEME_IDS
@@ -27,30 +28,28 @@ class VgmsCodec:
     name = "vgms"
 
     def __init__(self, p: CodeParams, fld: GF, seq: SizeSequence, seed: int = 0) -> None:
-        require_valid(p)
         self.params = p
         self.field = fld
         self.seq = seq
+        self.layout = vgms.packet_layout(seq, p)
         self.matrix = build_cauchy(p.tau * p.m, fld, seed)
         self.tau_l = 0
-        self.layout = vgms.packet_layout(seq, p)
+        self._n_sizes = [self.layout.n_size(i) for i in range(seq.t + 1)]
 
     @property
     def n_sizes(self) -> list[int]:
-        return [self.layout.n_size(self.seq, i) for i in range(self.seq.t + 1)]
+        return self._n_sizes
 
     def encode(self, payload: Sequence[Sequence[int]]) -> list[list[int]]:
-        return vgms.encode_stream(
-            self.params, self.field, self.matrix, self.seq, payload
-        ).packets
+        if [len(pkt) for pkt in payload] != list(self.seq):
+            raise ValueError("payload does not match the size sequence")
+        return vgms.encode_stream(self.params, self.matrix, payload).packets
 
     def decode(self, received: Sequence[Sequence[int] | None]) -> DecodeResult:
-        return vgms.decode_stream(
-            self.params, self.field, self.matrix, received, self.seq
-        )
+        return vgms.decode_stream(self.layout, self.matrix, received)
 
     def trace(self) -> list[dict]:
-        return self.layout.trace(self.seq)
+        return self.layout.trace()
 
 
 class LinearCodec:
@@ -70,10 +69,11 @@ class LinearCodec:
         self.stream = stream
         self.tau_l = stream.tau_l
         self._offsets = symbol_offsets(stream.seq)
+        self._n_sizes = stream.n_sizes
 
     @property
     def n_sizes(self) -> list[int]:
-        return self.stream.n_sizes
+        return self._n_sizes
 
     def encode(self, payload: Sequence[Sequence[int]]) -> list[list[int]]:
         flat = [s for pkt in payload for s in pkt]
@@ -86,11 +86,14 @@ class LinearCodec:
     def decode(self, received: Sequence[Sequence[int] | None]) -> DecodeResult:
         """Decode by incremental elimination, slot by slot.
 
-        Raises ValueError for a packet of the wrong length, an out-of-field
-        symbol, or packets that contradict each other ("received packets
-        are inconsistent"), as a corrupted symbol makes them.
+        Raises ValueError for a received list or packet of the wrong length,
+        an out-of-field symbol, or packets that contradict each other
+        ("received packets are inconsistent"), as a corrupted symbol makes
+        them.
         """
         seq = self.seq
+        if len(received) != seq.t + 1:
+            raise ValueError("received list must cover slots 0..t")
         n_msg = self._offsets[-1]
         dec = IncrementalDecoder(self.field, n_msg)
         times: list[int | None] = [None] * (seq.t + 1)

@@ -11,7 +11,7 @@ comparisons downstream hinge on exact ties.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -158,7 +158,6 @@ class Transcript:
     params: CodeParams
     records: list[SlotRecord]
     layout: list[dict] | None = None
-    meta: dict = dc_field(default_factory=dict)
 
     @property
     def k_sizes(self) -> list[int]:
@@ -176,14 +175,13 @@ def build_transcript(
     erased: Iterable[int],
     decode_times: Sequence[int | None],
     layout: list[dict] | None = None,
-    meta: dict | None = None,
 ) -> Transcript:
     lost = set(erased)
     records = [
         SlotRecord(i, seq.size(i), n_sizes[i], i in lost, decode_times[i])
         for i in range(seq.t + 1)
     ]
-    return Transcript(params, records, layout, meta or {})
+    return Transcript(params, records, layout)
 
 
 def stream_rate(tr: Transcript) -> Fraction:

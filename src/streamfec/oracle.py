@@ -103,6 +103,7 @@ def exhaustive_decode_check(
     p: CodeParams = codec.params
     seq: SizeSequence = codec.seq
     packets = codec.encode(payload)
+    n_sizes = codec.n_sizes
     originals = [list(pkt) for pkt in payload]
     for pattern in enumerate_patterns(p, mode):
         received = apply_pattern(pattern, packets)
@@ -113,7 +114,7 @@ def exhaustive_decode_check(
         for i in range(seq.t + 1):
             if result.messages[i] != originals[i]:
                 return Counterexample(pattern, i, "recovered symbols differ")
-        tr = build_transcript(p, seq, codec.n_sizes, pattern, result.decode_times)
+        tr = build_transcript(p, seq, n_sizes, pattern, result.decode_times)
         bad = check_delays(tr, lossless=False)
         if bad is not None:
             return Counterexample(

@@ -15,6 +15,10 @@ Layout per slot i:
 
 where combine() takes columns ((i mod tau) * m ..) of a (tau*m) x (tau*m)
 Cauchy matrix against the heads laid out at block offsets ((j mod tau) * m).
+The encoder and both decode phases compute combine() with `window_parity`.
+The layout depends only on the sizes, which the receiver holds as side
+information, so one layout per stream serves every decode.
+
 A burst erasing slots s..e is undone in two phases: first the erased heads
 are solved jointly from the parity columns of slots e+1..s+tau-1 (any square
 Cauchy subsystem is invertible; we take the first sum-of-head-sizes columns
@@ -27,11 +31,11 @@ of its own parity segment tau slots after its slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cauchy import CauchyMatrix
 from .channel import erased_runs, is_admissible
-from .gf import GF, in_field
+from .gf import in_field
 from .model import CodeParams, SizeSequence, require_valid
 
 
@@ -42,11 +46,12 @@ class DecodeFailure(Exception):
 class VgmsLayout:
     """Per-slot split and parity sizes, grown one slot at a time by `split`.
 
-    A pure function of the size sequence, so the decoder rebuilds exactly
-    what the encoder used.
+    A pure function of the size sequence, so the decoder uses exactly what
+    the encoder used.
     """
 
     def __init__(self, p: CodeParams) -> None:
+        require_valid(p)
         self.params = p
         self.k_sizes: list[int] = []
         self.head_sizes: list[int] = []  # early-recovery piece of each message
@@ -77,19 +82,12 @@ class VgmsLayout:
         self.budgets.append(budget)
         return head
 
-    def n_size(self, seq: SizeSequence, i: int) -> int:
-        return seq.size(i) + self.parity_sizes[i]
+    def n_size(self, i: int) -> int:
+        return self.k_sizes[i] + self.parity_sizes[i]
 
-    def trace(self, seq: SizeSequence) -> list[dict]:
-        return [
-            {
-                "k": seq.size(i),
-                "u": self.tail_sizes[i],
-                "v": self.head_sizes[i],
-                "p": self.parity_sizes[i],
-            }
-            for i in range(seq.t + 1)
-        ]
+    def trace(self) -> list[dict]:
+        sizes = zip(self.k_sizes, self.tail_sizes, self.head_sizes, self.parity_sizes)
+        return [{"k": k, "u": u, "v": v, "p": n} for k, u, v, n in sizes]
 
 
 def parity_budget(
@@ -112,33 +110,65 @@ def parity_budget(
 def packet_layout(seq: SizeSequence, p: CodeParams) -> VgmsLayout:
     """Head/tail split and parity allocation for a whole (terminated) stream.
 
-    Also exactly what the decoder recomputes: the split depends only on the
-    size sequence, which is public side information.
+    The receiver's layout: the split depends only on the size sequence,
+    which is public side information, so one layout serves every decode.
     """
-    require_valid(p)
+    if seq.t != p.t:
+        raise ValueError(f"sequence has t={seq.t} but params have t={p.t}")
     layout = VgmsLayout(p)
     for k in seq:
         layout.split(k)
     return layout
 
 
+def _check_matrix(p: CodeParams, matrix: CauchyMatrix) -> None:
+    if matrix.dim != p.tau * p.m:
+        raise ValueError(
+            f"parity matrix must be {p.tau * p.m} x {p.tau * p.m}, got {matrix.dim}"
+        )
+
+
+def block(p: CodeParams, j: int, n: int) -> range:
+    """The first n matrix rows (head symbols) or columns (parity symbols)
+    of slot j: slots tau apart share a block."""
+    base = (j % p.tau) * p.m
+    return range(base, base + n)
+
+
+def window_parity(
+    matrix: CauchyMatrix,
+    p: CodeParams,
+    j: int,
+    n: int,
+    head_of: Callable[[int], Sequence[int]],
+) -> list[int]:
+    """First n parity symbols of slot j without the tail they carry: the
+    Cauchy combination of the heads of slots j-tau..j-1 over slot j's columns.
+
+    `head_of(l)` gives the head of slot l; an empty one leaves the slot out.
+    """
+    pairs = []
+    for l in range(j - p.tau, j):
+        head = head_of(l)
+        if head:
+            pairs.extend((r, v) for r, v in zip(block(p, l, len(head)), head) if v)
+    return matrix.combine(pairs, block(p, j, n))
+
+
 class VgmsEncoder:
     """Slot-ordered online encoder; feed packets for slots 0, 1, .. in order.
 
-    Memory is a ring of the last tau slots' pieces, Theta(tau * m) symbols.
+    Memory holds the pieces of the last tau slots, Theta(tau * m) symbols.
     """
 
-    def __init__(self, p: CodeParams, fld: GF, matrix: CauchyMatrix) -> None:
-        require_valid(p)
-        if matrix.dim != p.tau * p.m:
-            raise ValueError(
-                f"parity matrix must be {p.tau * p.m} x {p.tau * p.m}, got {matrix.dim}"
-            )
-        self.params = p
-        self.field = fld
-        self.matrix = matrix
+    def __init__(self, p: CodeParams, matrix: CauchyMatrix) -> None:
         self.layout = VgmsLayout(p)
-        self._recent: list[tuple[int, list[int], list[int]]] = []  # (slot, head, tail)
+        _check_matrix(p, matrix)
+        self.params = p
+        self.matrix = matrix
+        # heads and tails of the last tau slots by slot; slots before 0 are empty
+        self._heads: dict[int, list[int]] = {j: [] for j in range(-p.tau, 0)}
+        self._tails: dict[int, list[int]] = {j: [] for j in range(-p.tau, 0)}
 
     @property
     def next_slot(self) -> int:
@@ -147,30 +177,20 @@ class VgmsEncoder:
     def encode_slot(self, symbols: Sequence[int]) -> list[int]:
         p = self.params
         i = self.next_slot
-        if not in_field(self.field, symbols):
+        if not in_field(self.matrix.field, symbols):
             raise ValueError(f"message at slot {i} has an out-of-field symbol")
         head_n = self.layout.split(len(symbols))
-        head = list(symbols[:head_n])
-        tail = list(symbols[head_n:])
+        oldest_tail = self._tails.pop(i - p.tau)  # it rides in this slot's parity
 
         parity: list[int] = []
         psz = self.layout.parity_sizes[i]
         if psz:
-            oldest_slot, _, oldest_tail = self._recent[0]
-            if oldest_slot != i - p.tau or len(oldest_tail) != psz:
-                raise ValueError(f"encoder ring out of step at slot {i}")
-            base = (i % p.tau) * p.m
-            cols = list(range(base, base + psz))
-            pairs = []
-            for j, h, _ in self._recent:
-                jbase = (j % p.tau) * p.m
-                pairs.extend((jbase + off, val) for off, val in enumerate(h) if val)
-            prime = self.matrix.combine(pairs, cols)
+            prime = window_parity(self.matrix, p, i, psz, self._heads.__getitem__)
             parity = [u ^ c for u, c in zip(oldest_tail, prime)]
 
-        self._recent.append((i, head, tail))
-        if len(self._recent) > p.tau:
-            self._recent.pop(0)
+        del self._heads[i - p.tau]
+        self._heads[i] = list(symbols[:head_n])
+        self._tails[i] = list(symbols[head_n:])
         return list(symbols) + parity
 
 
@@ -181,18 +201,12 @@ class VgmsStream:
 
 
 def encode_stream(
-    p: CodeParams,
-    fld: GF,
-    matrix: CauchyMatrix,
-    seq: SizeSequence,
-    payload: Sequence[Sequence[int]],
+    p: CodeParams, matrix: CauchyMatrix, payload: Sequence[Sequence[int]]
 ) -> VgmsStream:
     """Encode a full terminated stream slot by slot with the online encoder."""
-    if seq.t != p.t:
-        raise ValueError(f"sequence has t={seq.t} but params have t={p.t}")
-    if [len(pkt) for pkt in payload] != list(seq):
-        raise ValueError("payload does not match the size sequence")
-    enc = VgmsEncoder(p, fld, matrix)
+    if len(payload) != p.t + 1:
+        raise ValueError("payload must cover slots 0..t")
+    enc = VgmsEncoder(p, matrix)
     packets = [enc.encode_slot(pkt) for pkt in payload]
     return VgmsStream(packets, enc.layout)
 
@@ -204,31 +218,34 @@ class DecodeResult:
 
 
 def decode_stream(
-    p: CodeParams,
-    fld: GF,
+    layout: VgmsLayout,
     matrix: CauchyMatrix,
     received: Sequence[Sequence[int] | None],
-    seq: SizeSequence,
 ) -> DecodeResult:
     """Two-phase recovery of every erased message packet.
 
-    Phase 1 per burst: cancel the known tails and heads out of the parity
-    segments right after the burst, then solve one square Cauchy system for
-    all erased heads jointly, in closed form. Phase 2: recover each erased
-    tail from the parity segment exactly tau slots after its slot. Raises ValueError for
-    an inadmissible pattern and DecodeFailure if recovery is impossible,
+    `layout` is the stream's own, from `packet_layout`; it holds the params
+    and sizes, and the field is the matrix's. Phase 1 per burst: cancel the
+    known tails and heads out of the parity segments right after the burst,
+    then solve one square Cauchy system for all erased heads jointly, in
+    closed form. Phase 2: recover each erased tail from the parity segment
+    exactly tau slots after its slot. Raises ValueError for malformed input
+    (a wrong matrix size, list or packet length, an out-of-field symbol) or
+    an inadmissible pattern, and DecodeFailure if recovery is impossible,
     which would mean a construction bug.
     """
-    require_valid(p)
-    t = seq.t
+    p = layout.params
+    _check_matrix(p, matrix)
+    t, tau = p.t, p.tau
+    if len(layout.k_sizes) != t + 1:
+        raise ValueError("layout must cover slots 0..t")
     if len(received) != t + 1:
         raise ValueError("received list must cover slots 0..t")
-    tau, b, m = p.tau, p.b, p.m
-    layout = packet_layout(seq, p)
     erased = tuple(i for i, pkt in enumerate(received) if pkt is None)
     if not is_admissible(erased, p):
         raise ValueError("loss pattern is not admissible for this channel")
 
+    k_sizes, head_sizes = layout.k_sizes, layout.head_sizes
     heads: list[list[int] | None] = [None] * (t + 1)
     tails: list[list[int] | None] = [None] * (t + 1)
     times: list[int | None] = [None] * (t + 1)
@@ -236,100 +253,74 @@ def decode_stream(
     for i, pkt in enumerate(received):
         if pkt is None:
             continue
-        k = seq.size(i)
-        if len(pkt) != k + layout.parity_sizes[i]:
+        if len(pkt) != layout.n_size(i):
             raise ValueError(f"packet at slot {i} has unexpected length")
-        if not in_field(fld, pkt):
+        if not in_field(matrix.field, pkt):
             raise ValueError(f"packet at slot {i} has an out-of-field symbol")
-        heads[i] = list(pkt[: layout.head_sizes[i]])
-        tails[i] = list(pkt[layout.head_sizes[i] : k])
+        heads[i] = list(pkt[: head_sizes[i]])
+        tails[i] = list(pkt[head_sizes[i] : k_sizes[i]])
         times[i] = i
 
-    def parity_segment(j: int) -> list[int]:
-        pkt = received[j]
-        if pkt is None:
-            raise DecodeFailure(f"parity slot {j} was erased")
-        k = seq.size(j)
-        return list(pkt[k : k + layout.parity_sizes[j]])
-
-    def head_pairs(window: range, skip: set[int]) -> list[tuple[int, int]]:
-        pairs = []
-        for l in window:
-            if l < 0 or l > t or l in skip:
-                continue
-            hv = heads[l]
-            if hv is None:
-                raise DecodeFailure(f"head of slot {l} unexpectedly unknown")
-            base = (l % tau) * m
-            pairs.extend((base + off, val) for off, val in enumerate(hv) if val)
-        return pairs
+    def known_head(l: int) -> list[int]:
+        if l < 0:
+            return []
+        hv = heads[l]
+        if hv is None:
+            raise DecodeFailure(f"head of slot {l} unexpectedly unknown")
+        return hv
 
     for run_start, run_end in erased_runs(erased):
-        unknown = [l for l in range(run_start, run_end + 1) if layout.head_sizes[l] > 0]
-        total_heads = sum(layout.head_sizes[l] for l in unknown)
+        burst = range(run_start, run_end + 1)
+        unknown = [l for l in burst if head_sizes[l] > 0]
+        total_heads = sum(head_sizes[l] for l in unknown)
         head_time: int | None = None
-        for l in range(run_start, run_end + 1):
-            if layout.head_sizes[l] == 0:
-                heads[l] = []
+        for l in burst:  # empty until solved, so phase 1 leaves them out
+            heads[l] = []
 
         if total_heads:
-            unknown_set = set(range(run_start, run_end + 1))
-            row_positions = []
-            for l in unknown:
-                base = (l % tau) * m
-                row_positions.extend(range(base, base + layout.head_sizes[l]))
-
-            used_cols: list[int] = []
+            rows = [r for l in unknown for r in block(p, l, head_sizes[l])]
+            cols: list[int] = []
             rhs: list[int] = []
             j = run_end + 1
-            while len(used_cols) < total_heads:
+            while len(cols) < total_heads:
                 if j > min(run_start + tau - 1, t):
                     raise DecodeFailure(
                         f"parity shortfall recovering burst {run_start}..{run_end}"
                     )
                 psz = layout.parity_sizes[j]
                 if psz:
-                    take = min(psz, total_heads - len(used_cols))
-                    base = (j % tau) * m
-                    cols = list(range(base, base + take))
-                    pvec = parity_segment(j)
+                    pkt = received[j]
+                    if pkt is None:
+                        raise DecodeFailure(f"parity slot {j} was erased")
                     prev_tail = tails[j - tau]
                     if prev_tail is None or len(prev_tail) != psz:
                         raise DecodeFailure(f"tail of slot {j - tau} unknown")
-                    known = matrix.combine(
-                        head_pairs(range(j - tau, j), unknown_set), cols
-                    )
-                    for off, c in enumerate(cols):
-                        rhs.append(pvec[off] ^ prev_tail[off] ^ known[off])
-                        used_cols.append(c)
+                    take = min(psz, total_heads - len(cols))
+                    known = window_parity(matrix, p, j, take, known_head)
+                    parity = pkt[k_sizes[j] :]
+                    rhs.extend(parity[o] ^ prev_tail[o] ^ known[o] for o in range(take))
+                    cols.extend(block(p, j, take))
                     head_time = j
                 j += 1
 
-            solution = matrix.solve_combination(row_positions, used_cols, rhs)
-            pos = 0
+            solution = iter(matrix.solve_combination(rows, cols, rhs))
             for l in unknown:
-                hn = layout.head_sizes[l]
-                heads[l] = solution[pos : pos + hn]
-                pos += hn
+                heads[l] = [next(solution) for _ in range(head_sizes[l])]
 
-        for l in range(run_start, run_end + 1):
-            k = seq.size(l)
-            if k == 0:
+        for l in burst:
+            tail_n = layout.tail_sizes[l]
+            if k_sizes[l] == 0:
                 tails[l] = []
                 times[l] = l  # termination: nothing to decode
-                continue
-            tail_n = layout.tail_sizes[l]
-            if tail_n:
+            elif tail_n:
                 j2 = l + tau
                 if j2 > t or received[j2] is None:
                     raise DecodeFailure(f"parity slot {j2} unavailable for slot {l}")
                 if layout.parity_sizes[j2] != tail_n:
                     raise DecodeFailure(f"parity slot {j2} misses the tail of {l}")
-                base = (j2 % tau) * m
-                cols = list(range(base, base + tail_n))
-                prime = matrix.combine(head_pairs(range(l, j2), set()), cols)
-                pvec = parity_segment(j2)
-                tails[l] = [pvec[off] ^ prime[off] for off in range(tail_n)]
+                prime = window_parity(matrix, p, j2, tail_n, known_head)
+                parity = received[j2][k_sizes[j2] :]
+                tails[l] = [u ^ c for u, c in zip(parity, prime)]
                 times[l] = j2
             else:
                 tails[l] = []

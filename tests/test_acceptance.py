@@ -206,7 +206,7 @@ def test_criterion_7_property_suites(grid):
         for p, seq, codec, _ in cells:
             layout = codec.layout
             for i in range(seq.t + 1):
-                assert layout.n_size(seq, i) >= seq.size(i), (p.tau, p.b, i)
+                assert layout.n_size(i) >= seq.size(i), (p.tau, p.b, i)
             for i in range(p.tau, seq.t + 1):
                 if layout.parity_sizes[i] == 0:
                     continue

@@ -57,6 +57,54 @@ def test_simulate_burst_recovery(capsys):
     assert slots[3]["decode_time"] <= 5
 
 
+def test_encode_header_carries_the_rate(capsys):
+    # the rate is written as on stderr: message symbols / channel symbols
+    code, out, err = run_cli(
+        capsys,
+        "encode",
+        "--codec", "vgms",
+        "--tau", "4",
+        "--b", "2",
+        "--sizes", "3,2,1,2,1",
+        "--field-degree", "8",
+    )
+    assert code == 0
+    header = json.loads(out.splitlines()[0])
+    assert sorted(header) == ["config", "rate"]
+    assert header["rate"] == "9/15"
+    assert "rate 9/15" in err
+
+
+def test_simulate_header_is_the_config_alone(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "simulate",
+        "--codec", "vgms",
+        "--tau", "4",
+        "--b", "2",
+        "--sizes", "3,2,1,2,1",
+        "--field-degree", "8",
+    )
+    assert code == 0
+    assert sorted(json.loads(out.splitlines()[0])) == ["config"]
+
+
+def test_encode_of_a_stream_without_symbols_has_no_rate(capsys, tmp_path):
+    out = tmp_path / "tr.jsonl"
+    code, _, err = run_cli(
+        capsys,
+        "encode",
+        "--codec", "vgms",
+        "--tau", "2",
+        "--b", "1",
+        "--sizes", "0,0,0,0",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert "rate undefined" in err
+    assert not out.exists()
+
+
 def test_simulate_rejects_inadmissible_pattern(capsys):
     code, _, err = run_cli(
         capsys,

@@ -47,3 +47,21 @@ def test_corrupted_symbol_is_a_decode_error():
             received[slot][pos] ^= 1
             with pytest.raises(ValueError, match="received packets are inconsistent"):
                 codec.decode(received)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("codec_id", ["vgms", "diagonal"])
+def test_received_list_of_wrong_length_rejected(codec_id, extra):
+    fld, seq, codec = bound_codec(codec_id)
+    packets = codec.encode(random_payload(seq, fld, 0))
+    received = packets[:-1] if extra < 0 else packets + [[]]
+    with pytest.raises(ValueError, match="received list must cover slots 0..t"):
+        codec.decode(received)
+
+
+def test_vgms_payload_must_match_the_sequence():
+    fld, seq, codec = bound_codec("vgms")
+    payload = random_payload(seq, fld, 0)
+    payload[0].append(1)
+    with pytest.raises(ValueError, match="payload does not match"):
+        codec.encode(payload)

@@ -74,7 +74,7 @@ def test_zero_size_packet_splits_empty():
 def test_encode_sizes_and_systematic_prefix():
     p, fld, seq, matrix = ref_setup()
     payload = random_payload(seq, fld, 3)
-    stream = encode_stream(p, fld, matrix, seq, payload)
+    stream = encode_stream(p, matrix, payload)
     assert [len(x) for x in stream.packets] == [3, 2, 1, 2, 4, 2, 0, 0, 1]
     for i in range(4):  # before tau, the packet is exactly the message
         assert stream.packets[i] == payload[i]
@@ -89,7 +89,7 @@ def test_parity_equals_tail_when_heads_are_zero():
     for i in range(seq.t + 1):  # zero the head symbols, keep the tails
         for r in range(layout.head_sizes[i]):
             payload[i][r] = 0
-    stream = encode_stream(p, fld, matrix, seq, payload)
+    stream = encode_stream(p, matrix, payload)
     for i in range(4, seq.t + 1):
         psz = layout.parity_sizes[i]
         if psz:
@@ -99,16 +99,59 @@ def test_parity_equals_tail_when_heads_are_zero():
 
 def test_encoder_rejects_oversized_packet():
     p, fld, seq, matrix = ref_setup()
-    enc = VgmsEncoder(p, fld, matrix)
+    enc = VgmsEncoder(p, matrix)
     with pytest.raises(ValueError):
         enc.encode_slot([1, 2, 3, 4])
+
+
+def test_matrix_of_the_wrong_size_rejected():
+    p, fld, seq, matrix = ref_setup()
+    stream = encode_stream(p, matrix, random_payload(seq, fld, 1))
+    small = build_cauchy(p.tau * p.m - 1, fld, 0)
+    with pytest.raises(ValueError, match="parity matrix must be"):
+        decode_stream(packet_layout(seq, p), small, stream.packets)
+    with pytest.raises(ValueError, match="parity matrix must be"):
+        VgmsEncoder(p, small)
+
+
+def test_layout_rejects_a_sequence_of_another_length():
+    p, fld, seq, _ = ref_setup()
+    longer = terminate_sizes(REF_SIZES + [1], 4, 3)
+    with pytest.raises(ValueError, match="sequence has t="):
+        packet_layout(longer, p)
+
+
+def test_symbols_are_checked_against_the_matrix_field():
+    # a GF(2^16) symbol does not fit the GF(2^8) matrix of the reference setup
+    p, fld, seq, matrix = ref_setup()
+    payload = random_payload(seq, fld, 1)
+    stream = encode_stream(p, matrix, payload)
+    payload[2][0] = 256
+    with pytest.raises(ValueError, match="out-of-field"):
+        encode_stream(p, matrix, payload)
+    received = [list(pkt) for pkt in stream.packets]
+    received[2][0] = 256
+    with pytest.raises(ValueError, match="out-of-field"):
+        decode_stream(packet_layout(seq, p), matrix, received)
+
+
+def test_stream_calls_need_whole_streams():
+    p, fld, seq, matrix = ref_setup()
+    payload = random_payload(seq, fld, 1)
+    with pytest.raises(ValueError, match="payload must cover"):
+        encode_stream(p, matrix, payload[:-1])
+    stream = encode_stream(p, matrix, payload)
+    enc = VgmsEncoder(p, matrix)
+    enc.encode_slot(stream.packets[0])
+    with pytest.raises(ValueError, match="layout must cover"):
+        decode_stream(enc.layout, matrix, stream.packets)
 
 
 def test_lossless_decode_times_are_immediate():
     p, fld, seq, matrix = ref_setup()
     payload = random_payload(seq, fld, 1)
-    stream = encode_stream(p, fld, matrix, seq, payload)
-    res = decode_stream(p, fld, matrix, stream.packets, seq)
+    stream = encode_stream(p, matrix, payload)
+    res = decode_stream(packet_layout(seq, p), matrix, stream.packets)
     assert res.messages == payload
     assert res.decode_times == list(range(seq.t + 1))
 
@@ -116,8 +159,9 @@ def test_lossless_decode_times_are_immediate():
 def test_burst_over_head_slots_recovered_early():
     p, fld, seq, matrix = ref_setup()
     payload = random_payload(seq, fld, 2)
-    stream = encode_stream(p, fld, matrix, seq, payload)
-    res = decode_stream(p, fld, matrix, apply_pattern((2, 3), stream.packets), seq)
+    stream = encode_stream(p, matrix, payload)
+    layout = packet_layout(seq, p)
+    res = decode_stream(layout, matrix, apply_pattern((2, 3), stream.packets))
     assert res.messages == payload
     assert res.decode_times[2] <= 5 and res.decode_times[3] <= 5
 
@@ -125,8 +169,9 @@ def test_burst_over_head_slots_recovered_early():
 def test_burst_over_tail_slots_recovered_at_exact_deadline():
     p, fld, seq, matrix = ref_setup()
     payload = random_payload(seq, fld, 2)
-    stream = encode_stream(p, fld, matrix, seq, payload)
-    res = decode_stream(p, fld, matrix, apply_pattern((0, 1), stream.packets), seq)
+    stream = encode_stream(p, matrix, payload)
+    layout = packet_layout(seq, p)
+    res = decode_stream(layout, matrix, apply_pattern((0, 1), stream.packets))
     assert res.messages == payload
     assert res.decode_times[0] == 4  # tail symbols only appear tau slots later
     assert res.decode_times[1] == 5
@@ -135,17 +180,19 @@ def test_burst_over_tail_slots_recovered_at_exact_deadline():
 def test_inadmissible_pattern_rejected():
     p, fld, seq, matrix = ref_setup()
     payload = random_payload(seq, fld, 2)
-    stream = encode_stream(p, fld, matrix, seq, payload)
+    stream = encode_stream(p, matrix, payload)
+    layout = packet_layout(seq, p)
     with pytest.raises(ValueError):
-        decode_stream(p, fld, matrix, apply_pattern((0, 1, 2), stream.packets), seq)
+        decode_stream(layout, matrix, apply_pattern((0, 1, 2), stream.packets))
 
 
 def test_round_trip_all_patterns_reference_stream():
     p, fld, seq, matrix = ref_setup()
     payload = random_payload(seq, fld, 5)
-    stream = encode_stream(p, fld, matrix, seq, payload)
+    stream = encode_stream(p, matrix, payload)
+    layout = packet_layout(seq, p)
     for pattern in all_patterns(p):
-        res = decode_stream(p, fld, matrix, apply_pattern(pattern, stream.packets), seq)
+        res = decode_stream(layout, matrix, apply_pattern(pattern, stream.packets))
         assert res.messages == payload, pattern
         for i in range(seq.t + 1):
             if seq.size(i):
@@ -161,10 +208,11 @@ def test_round_trip_random_grid_single_bursts():
                 p = make_params(tau, b, m=4, t=seq.t)
                 matrix = build_cauchy(p.tau * p.m, fld, seed)
                 payload = random_payload(seq, fld, seed)
-                stream = encode_stream(p, fld, matrix, seq, payload)
+                stream = encode_stream(p, matrix, payload)
+                layout = packet_layout(seq, p)
                 for pattern in single_burst_patterns(p):
                     res = decode_stream(
-                        p, fld, matrix, apply_pattern(pattern, stream.packets), seq
+                        layout, matrix, apply_pattern(pattern, stream.packets)
                     )
                     assert res.messages == payload, (tau, b, seed, pattern)
 
@@ -217,7 +265,7 @@ def test_packet_never_smaller_than_message():
         p = make_params(tau, b, m=3, t=seq.t)
         layout = packet_layout(seq, p)
         for i in range(seq.t + 1):
-            assert layout.n_size(seq, i) >= seq.size(i)
+            assert layout.n_size(i) >= seq.size(i)
 
 
 def test_rate_stays_under_channel_capacity_bound():
@@ -232,7 +280,7 @@ def test_rate_stays_under_channel_capacity_bound():
             continue
         p = make_params(tau, b, m=3, t=seq.t)
         layout = packet_layout(seq, p)
-        sent = sum(layout.n_size(seq, i) for i in range(seq.t + 1))
+        sent = sum(layout.n_size(i) for i in range(seq.t + 1))
         assert Fraction(seq.total, sent) <= Fraction(tau, tau + b), (tau, b, seed)
 
 
@@ -263,7 +311,7 @@ def test_encoder_matches_independent_linear_expansion():
     p, fld, seq, matrix = ref_setup(seed=2)
     payload = random_payload(seq, fld, 13)
     flat = [s for pkt in payload for s in pkt]
-    stream = encode_stream(p, fld, matrix, seq, payload)
+    stream = encode_stream(p, matrix, payload)
     rows = vgms_linear_rows(p, matrix, seq, stream.layout)
     for i, pkt in enumerate(stream.packets):
         for sym, row in zip(pkt, rows[i]):
@@ -282,12 +330,13 @@ def test_decoder_agrees_with_incremental_elimination():
     matrix = build_cauchy(p.tau * p.m, fld, 4)
     payload = random_payload(seq, fld, 21)
     flat = [s for pkt in payload for s in pkt]
-    stream = encode_stream(p, fld, matrix, seq, payload)
+    stream = encode_stream(p, matrix, payload)
     rows = vgms_linear_rows(p, matrix, seq, stream.layout)
     off = symbol_offsets(seq)
+    layout = packet_layout(seq, p)
     for pattern in all_patterns(p):
         received = apply_pattern(pattern, stream.packets)
-        res = decode_stream(p, fld, matrix, received, seq)
+        res = decode_stream(layout, matrix, received)
         assert res.messages == payload, pattern
         dec = IncrementalDecoder(fld, off[-1])
         for s, pkt in enumerate(received):
@@ -310,9 +359,10 @@ def test_wider_window_round_trips():
     p = make_params(3, 2, w=5, m=2, t=seq.t)
     matrix = build_cauchy(p.tau * p.m, fld, 8)
     payload = random_payload(seq, fld, 30)
-    stream = encode_stream(p, fld, matrix, seq, payload)
+    stream = encode_stream(p, matrix, payload)
+    layout = packet_layout(seq, p)
     for pattern in all_patterns(p):
-        res = decode_stream(p, fld, matrix, apply_pattern(pattern, stream.packets), seq)
+        res = decode_stream(layout, matrix, apply_pattern(pattern, stream.packets))
         assert res.messages == payload, pattern
 
 
@@ -324,7 +374,7 @@ def test_burst_equal_to_delay_degenerates_to_repetition():
     p = make_params(3, 3, m=3, t=seq.t)
     layout = packet_layout(seq, p)
     assert layout.head_sizes == [0] * len(seq)
-    assert [layout.n_size(seq, i) for i in range(seq.t + 1)] == [
+    assert [layout.n_size(i) for i in range(seq.t + 1)] == [
         seq.size(i) + seq.size(i - p.tau) for i in range(seq.t + 1)
     ]
 
@@ -333,7 +383,7 @@ def test_online_encoder_never_needs_future_sizes():
     # feeding slots one by one gives byte-identical packets to batch encode
     p, fld, seq, matrix = ref_setup(seed=6)
     payload = random_payload(seq, fld, 4)
-    stream = encode_stream(p, fld, matrix, seq, payload)
-    enc = VgmsEncoder(p, fld, matrix)
+    stream = encode_stream(p, matrix, payload)
+    enc = VgmsEncoder(p, matrix)
     incremental = [enc.encode_slot(payload[i]) for i in range(seq.t + 1)]
     assert incremental == stream.packets
