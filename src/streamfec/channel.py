@@ -27,20 +27,17 @@ def erased_runs(erased: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def is_admissible(erased: Sequence[int], p: CodeParams) -> bool:
-    """Direct sliding-window check of the channel definition."""
-    er = sorted(set(erased))
-    if not er:
-        return True
-    if er[0] < 0 or er[-1] > p.t:
+    """One pass over the erased runs: no run is longer than b, and each run
+    starts at least w slots after the previous one ends (closer, and some
+    window would hold both)."""
+    runs = erased_runs(erased)
+    if runs and (runs[0][0] < 0 or runs[-1][1] > p.t):
         raise ValueError("erased slot outside [0, t]")
-    for start in range(0, p.t + 1):
-        inside = [x for x in er if start <= x <= start + p.w - 1]
-        if not inside:
-            continue
-        if len(inside) > p.b:
+    prev_end = -p.w  # no run before slot 0
+    for start, end in runs:
+        if end - start + 1 > p.b or start - prev_end < p.w:
             return False
-        if inside[-1] - inside[0] + 1 != len(inside):
-            return False  # two separate runs share this window
+        prev_end = end
     return True
 
 

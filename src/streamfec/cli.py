@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -177,7 +178,8 @@ def emit_rate_table(results: list[dict], config: dict) -> str:
     return buf.getvalue()
 
 
-def _rate_row(codec, seq, p) -> dict:
+def _rate_row(codec) -> dict:
+    p, seq = codec.params, codec.seq
     num = seq.total
     den = sum(codec.n_sizes)
     return {
@@ -193,33 +195,34 @@ def _rate_row(codec, seq, p) -> dict:
     }
 
 
-def cmd_encode(args) -> int:
+def _transcript_run(args, pattern: tuple[int, ...]):
+    """Encode the configured stream, erase `pattern`, decode, transcribe."""
     p, fld, seq, codec = _build_run(args, seed=args.seed)
+    if not is_admissible(pattern, p):
+        raise ConfigError(f"pattern {list(pattern)} is not admissible for C(b={p.b}, w={p.w})")
     payload = random_payload(seq, fld, args.seed)
-    result = codec.decode(codec.encode(payload))
+    result = codec.decode(apply_pattern(pattern, codec.encode(payload)))
     layout = codec.trace() if hasattr(codec, "trace") else None
-    tr = build_transcript(p, seq, codec.n_sizes, (), result.decode_times, layout)
+    tr = build_transcript(p, seq, codec.n_sizes, pattern, result.decode_times, layout)
+    return codec, payload, result, tr
+
+
+def cmd_encode(args) -> int:
+    codec, _, _, tr = _transcript_run(args, ())
     stream_rate(tr)  # a stream that sends no channel symbols has no rate
-    row = _rate_row(codec, seq, p)
+    row = _rate_row(codec)
     _emit(args, _transcript_text(tr, _config_dict(args), rate=row["rate"]))
     print(f"rate {row['rate']} ({row['rate_decimal']})", file=sys.stderr)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    p, fld, seq, codec = _build_run(args, seed=args.seed)
-    payload = random_payload(seq, fld, args.seed)
     pattern = tuple(_parse_int_list(args.pattern)) if args.pattern else ()
-    if not is_admissible(pattern, p):
-        raise ConfigError(f"pattern {list(pattern)} is not admissible for C(b={p.b}, w={p.w})")
-    packets = codec.encode(payload)
-    result = codec.decode(apply_pattern(pattern, packets))
-    layout = codec.trace() if hasattr(codec, "trace") else None
-    tr = build_transcript(p, seq, codec.n_sizes, pattern, result.decode_times, layout)
+    _, payload, result, tr = _transcript_run(args, pattern)
     _emit(args, _transcript_text(tr, _config_dict(args)))
     ok = True
-    for i in range(seq.t + 1):
-        if result.messages[i] != list(payload[i]):
+    for i, want in enumerate(payload):
+        if result.messages[i] != list(want):
             print(f"slot {i}: recovered symbols differ", file=sys.stderr)
             ok = False
     bad = check_delays(tr, lossless=False)
@@ -232,45 +235,37 @@ def cmd_simulate(args) -> int:
     return 0 if ok else 1
 
 
+def _seeded_run(args, seed: int, **flags):
+    """Stream `seed` of a multi-seed run: sizes, codec and payload all drawn
+    from `seed`; `flags` override the command's own options."""
+    run_args = argparse.Namespace(
+        **{**vars(args), **flags, "random_sizes": seed, "sizes": None, "sizes_file": None}
+    )
+    _, fld, seq, codec = _build_run(run_args, seed=seed)
+    return codec, random_payload(seq, fld, seed)
+
+
+def _require_at_least(value: int, low: int, flag: str) -> None:
+    if value < low:
+        raise ConfigError(f"{flag} must be at least {low}, or the run checks nothing")
+
+
 def cmd_verify(args) -> int:
     if args.t is None:
         raise ConfigError("verify needs --t")
+    _require_at_least(args.seeds, 1, "--seeds")
     patterns_checked = 0
     status = "ok"
     failure: dict | None = None
     for seed in range(args.seeds):
-        run_args = argparse.Namespace(**vars(args))
-        run_args.random_sizes = seed
-        run_args.sizes = None
-        run_args.sizes_file = None
-        p, fld, seq, codec = _build_run(run_args, seed=seed)
-        payload = random_payload(seq, fld, seed)
-        bad = oracle.exhaustive_decode_check(codec, payload, args.enumerate)
-        patterns_checked += sum(1 for _ in enumerate_patterns(p, args.enumerate))
+        codec, payload = _seeded_run(args, seed)
+        bad = oracle.verify_stream(codec, payload, args.enumerate)
+        patterns_checked += sum(1 for _ in enumerate_patterns(codec.params, args.enumerate))
         if bad is not None:
-            status = "counterexample"
-            failure = {
-                "seed": seed,
-                "sizes": list(seq),
-                "pattern": list(bad.pattern),
-                "slot": bad.slot,
-                "reason": bad.reason,
-            }
+            # both kinds of failure name the seed and sizes that replay it
+            status = "minimality-gap" if isinstance(bad, oracle.ProfileGap) else "counterexample"
+            failure = {"seed": seed, "sizes": list(codec.seq), **dataclasses.asdict(bad)}
             break
-        if args.codec == "vgms" and p.tau_l == 0:
-            lb = oracle.lower_bound_profile(seq, p)
-            gap_found = oracle.check_minimality(
-                oracle.cumulative_profile(codec.n_sizes), lb, exact=True
-            )
-            if gap_found is not None:
-                status = "minimality-gap"
-                failure = {
-                    "seed": seed,
-                    "slot": gap_found.slot,
-                    "have": gap_found.have,
-                    "want": gap_found.want,
-                }
-                break
     report = {
         "config": _config_dict(args),
         "codec": args.codec,
@@ -295,6 +290,8 @@ def cmd_gap(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _require_at_least(args.tau_max, 2, "--tau-max")  # the first vgms cell is tau = 2
+    _require_at_least(args.seeds, 1, "--seeds")
     fld = field(args.field_degree)
     failures: list[str] = []
     rate_rows: list[dict] = []
@@ -302,38 +299,28 @@ def cmd_sweep(args) -> int:
     for tau in range(2, args.tau_max + 1):
         for b in range(1, tau + 1):
             for seed in range(args.seeds):
-                raw = random_sizes(args.t + 1 - tau, args.m, seed)
-                seq = terminate_sizes(raw, tau, args.m)
-                p = make_params(tau, b, m=args.m, t=seq.t)
-                codec = bind_codec("vgms", p, fld, seq, seed=seed)
-                payload = random_payload(seq, fld, seed)
-                bad = oracle.exhaustive_decode_check(codec, payload, "full")
+                codec, payload = _seeded_run(
+                    args, seed, codec="vgms", tau=tau, b=b, tau_l=0, w=None, d=None
+                )
+                bad = oracle.verify_stream(codec, payload, "full")
                 if bad is not None:
-                    failures.append(
-                        f"vgms tau={tau} b={b} seed={seed}: {bad.reason} at {bad.pattern}"
-                    )
-                lb = oracle.lower_bound_profile(seq, p)
-                if oracle.check_minimality(
-                    oracle.cumulative_profile(codec.n_sizes), lb, exact=True
-                ):
-                    failures.append(f"vgms minimality tau={tau} b={b} seed={seed}")
-                rate_rows.append(_rate_row(codec, seq, p))
+                    failures.append(f"vgms tau={tau} b={b} seed={seed}: {bad!r}")
+                rate_rows.append(_rate_row(codec))
 
     for tau in range(1, args.tau_max + 1):
         for b in (x for x in range(1, tau + 1) if tau % x == 0):
             k = tau // b
-            raw = [k] * 3
-            seq = terminate_sizes(raw, tau, k)
+            seq = terminate_sizes([k] * 3, tau, k)
             p = make_params(tau, b, tau_l=tau - b, m=k, t=seq.t)
             codec = bind_codec("diagonal", p, fld, seq)
             payload = random_payload(seq, fld, 0)
-            bad = oracle.exhaustive_decode_check(codec, payload, "full")
+            bad = oracle.verify_stream(codec, payload, "full")
             if bad is not None:
-                failures.append(f"diagonal tau={tau} b={b}: {bad.reason}")
+                failures.append(f"diagonal tau={tau} b={b}: {bad!r}")
             tr = build_transcript(p, seq, codec.n_sizes, (), [0] * len(seq))
             if stream_rate(tr) != Fraction(tau, tau + b):
                 failures.append(f"diagonal rate off at tau={tau} b={b}")
-            rate_rows.append(_rate_row(codec, seq, p))
+            rate_rows.append(_rate_row(codec))
 
     gap_reports = []
     for lemma, tau, b, tau_l, d in gap_mod.gap_cells(args.tau_max, args.d_max):
@@ -357,13 +344,12 @@ def cmd_sweep(args) -> int:
         "failures": failures,
         "status": "ok" if not failures else "failed",
     }
-    text = emit_rate_table(rate_rows, _config_dict(args)) if rate_rows else ""
-    _emit(args, text)
+    _emit(args, emit_rate_table(rate_rows, _config_dict(args)))
     print(json.dumps(summary, sort_keys=True, indent=2), file=sys.stderr)
     return 0 if not failures else 1
 
 
-def _add_common(sp: argparse.ArgumentParser, codec: bool = True) -> None:
+def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", default=None, help="JSON file with default flag values")
     sp.add_argument("--tau", type=int, default=None, help="worst-case delay, slots")
     sp.add_argument("--b", type=int, default=None, help="maximum burst length")
@@ -374,8 +360,7 @@ def _add_common(sp: argparse.ArgumentParser, codec: bool = True) -> None:
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--d", type=int, default=None, help="block size for lemma schemes")
-    if codec:
-        sp.add_argument("--codec", default=None, choices=CODEC_IDS)
+    sp.add_argument("--codec", default=None, choices=CODEC_IDS)
 
 
 def _require(args, *names: str) -> None:

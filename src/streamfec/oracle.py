@@ -4,11 +4,15 @@ Two independent instruments: a cumulative-symbol lower bound computed by a
 counting recursion (no codec involved), and an exhaustive decode check that
 replays every enumerated loss pattern through a codec and its decoder. The
 codecs under test never feed the oracle side, so agreement is evidence.
+
+`verify_stream` is the one per-stream check: the decode check, then
+`profile_gap`, which at zero lossless delay holds the online codec ("vgms")
+to the lower bound exactly and any other codec to dominance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .channel import enumerate_patterns, apply_pattern, erased_runs
@@ -82,6 +86,16 @@ def check_minimality(
     return None
 
 
+def profile_gap(codec) -> ProfileGap | None:
+    """First slot where the codec's profile misses the lower bound, which
+    applies at tau_l = 0 only: exactly for "vgms", by dominance otherwise.
+    Reads `codec.name`, so forwarding wrappers count as the codec wrapped."""
+    if codec.params.tau_l != 0:
+        return None
+    lb = lower_bound_profile(codec.seq, codec.params)
+    return check_minimality(cumulative_profile(codec.n_sizes), lb, exact=codec.name == "vgms")
+
+
 @dataclass
 class Counterexample:
     pattern: tuple[int, ...]
@@ -115,23 +129,24 @@ def exhaustive_decode_check(
             if result.messages[i] != originals[i]:
                 return Counterexample(pattern, i, "recovered symbols differ")
         tr = build_transcript(p, seq, n_sizes, pattern, result.decode_times)
-        bad = check_delays(tr, lossless=False)
+        bad, kind = check_delays(tr, lossless=False), "worst-case"
+        if bad is None and not pattern:
+            lossless_tr = Transcript(replace(p, tau_l=codec.tau_l), tr.records)
+            bad, kind = check_delays(lossless_tr, lossless=True), "lossless"
         if bad is not None:
             return Counterexample(
-                pattern, bad.slot, f"worst-case deadline missed ({bad.decode_time} > {bad.deadline})"
+                pattern, bad.slot, f"{kind} deadline missed ({bad.decode_time} > {bad.deadline})"
             )
-        if not pattern:
-            lossless_tr = Transcript(
-                CodeParams(p.tau, p.b, codec.tau_l, p.w, p.m, p.t), tr.records
-            )
-            bad = check_delays(lossless_tr, lossless=True)
-            if bad is not None:
-                return Counterexample(
-                    pattern,
-                    bad.slot,
-                    f"lossless deadline missed ({bad.decode_time} > {bad.deadline})",
-                )
     return None
+
+
+def verify_stream(
+    codec, payload: Sequence[Sequence[int]], mode: str
+) -> Counterexample | ProfileGap | None:
+    """The per-stream check: every enumerated pattern decodes in time, then
+    the profile meets the lower bound where it applies. First failure."""
+    bad = exhaustive_decode_check(codec, payload, mode)
+    return bad if bad is not None else profile_gap(codec)
 
 
 def decoded_before_burst(

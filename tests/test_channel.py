@@ -85,6 +85,25 @@ def test_full_enumeration_matches_brute_force(tau, b, t):
     assert set(got) == want
 
 
+@pytest.mark.parametrize(
+    "tau,b,t,w",
+    [(2, 1, 12, 3), (3, 2, 10, 4), (2, 2, 6, 3), (4, 3, 6, 5), (3, 1, 7, 6), (4, 2, 8, 7)],
+)
+def test_is_admissible_matches_brute_force_on_every_subset(tau, b, t, w):
+    # the last two settings have w > tau + 1, a window wider than the minimum
+    p = make_params(tau, b, w=w, m=1, t=t)
+    for size in range(t + 2):
+        for cand in itertools.combinations(range(t + 1), size):
+            assert is_admissible(cand, p) == brute_force_admissible(cand, p), cand
+
+
+def test_is_admissible_rejects_slots_outside_the_stream():
+    p = make_params(2, 1, m=1, t=4)
+    for erased in [(-1,), (5,), (0, 5)]:
+        with pytest.raises(ValueError):
+            is_admissible(erased, p)
+
+
 def test_full_enumeration_lexicographic():
     p = make_params(2, 1, m=1, t=4)
     got = list(all_patterns(p))

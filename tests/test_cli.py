@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from streamfec import oracle
 from streamfec.cauchy import SingularMatrixError
 from streamfec.cli import main
 from streamfec.codecs import VgmsCodec
 from streamfec.gap import GapCheckError
-from streamfec.vgms import DecodeFailure
+from streamfec.model import random_sizes, terminate_sizes
+from streamfec.vgms import DecodeFailure, DecodeResult
 
 
 def run_cli(capsys, *argv):
@@ -333,3 +335,100 @@ def test_library_errors_exit_as_assertion_failures(capsys, monkeypatch, error):
     )
     assert code == 1
     assert err == "error: construction guarantee broken\n"
+
+
+VERIFY_VGMS = ("verify", "--codec", "vgms", "--tau", "3", "--b", "2", "--t", "8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*VERIFY_VGMS, "--seeds", "0"),
+        (*VERIFY_VGMS, "--seeds", "-3"),
+        ("sweep", "--seeds", "0"),
+        ("sweep", "--tau-max", "0"),
+        ("sweep", "--tau-max", "1"),
+    ],
+    ids=[
+        "verify-seeds-0",
+        "verify-seeds-negative",
+        "sweep-seeds-0",
+        "sweep-tau-max-0",
+        "sweep-tau-max-1",
+    ],
+)
+def test_run_that_checks_nothing_is_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "checks nothing" in err
+
+
+def raise_lower_bound(monkeypatch):
+    real = oracle.lower_bound_profile
+    monkeypatch.setattr(
+        oracle, "lower_bound_profile", lambda seq, p: [x + 1 for x in real(seq, p)]
+    )
+
+
+def corrupt_vgms_decode(monkeypatch):
+    real = VgmsCodec.decode
+
+    def decode(self, received):
+        result = real(self, received)
+        return DecodeResult(result.messages[:-1] + [[0]], result.decode_times)
+
+    monkeypatch.setattr(VgmsCodec, "decode", decode)
+
+
+@pytest.mark.parametrize(
+    "codec,tau,b,break_it,status",
+    [
+        ("vgms", 3, 2, corrupt_vgms_decode, "counterexample"),
+        ("vgms", 3, 2, raise_lower_bound, "minimality-gap"),
+        # at b = tau the diagonal codec has zero lossless delay, so verify
+        # holds it to the lower bound too (by dominance)
+        ("diagonal", 2, 2, raise_lower_bound, "minimality-gap"),
+    ],
+)
+def test_verify_failure_names_seed_and_sizes(
+    capsys, monkeypatch, codec, tau, b, break_it, status
+):
+    break_it(monkeypatch)
+    code, out, _ = run_cli(
+        capsys,
+        "verify",
+        "--codec", codec,
+        "--tau", str(tau),
+        "--b", str(b),
+        "--t", "8",
+        "--seeds", "2",
+        "--field-degree", "8",
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == status
+    failure = report["failure"]
+    assert failure["seed"] == 0
+    assert failure["sizes"] == list(terminate_sizes(random_sizes(9 - tau, 4, 0), tau, 4))
+    if status == "counterexample":
+        assert (failure["pattern"], failure["slot"]) == ([], 8)
+        assert failure["reason"] == "recovered symbols differ"
+    else:
+        assert failure["slot"] == 0 and failure["want"] == failure["have"] + 1
+
+
+def test_verify_diagonal_at_b_equal_tau_passes_dominance(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify",
+        "--codec", "diagonal",
+        "--tau", "2",
+        "--b", "2",
+        "--t", "8",
+        "--seeds", "2",
+        "--field-degree", "8",
+    )
+    assert code == 0
+    assert json.loads(out)["status"] == "ok"

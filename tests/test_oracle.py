@@ -1,6 +1,10 @@
 """Lower-bound recursion, minimality checks, exhaustive decode oracle."""
 
+from types import SimpleNamespace
+
 import pytest
+
+from streamfec import oracle
 
 from streamfec.codecs import bind_codec
 from streamfec.gf import GF
@@ -11,11 +15,15 @@ from streamfec.model import (
     terminate_sizes,
 )
 from streamfec.oracle import (
+    Counterexample,
+    ProfileGap,
     check_minimality,
     cumulative_profile,
     decoded_before_burst,
     exhaustive_decode_check,
     lower_bound_profile,
+    profile_gap,
+    verify_stream,
 )
 
 
@@ -60,6 +68,7 @@ def test_vgms_profile_equals_lower_bound_random_streams():
         lb = lower_bound_profile(seq, p)
         assert cumulative_profile(codec.n_sizes) == lb, (tau, b, seed)
         assert check_minimality(cumulative_profile(codec.n_sizes), lb, exact=True) is None
+        assert profile_gap(codec) is None, (tau, b, seed)
 
 
 def test_repetition_regime_dominates_bound():
@@ -76,6 +85,71 @@ def test_repetition_regime_dominates_bound():
         profile = cumulative_profile(codec.n_sizes)
         assert check_minimality(profile, lb, exact=False) is None, seed
         assert profile == lb, seed
+        assert profile_gap(codec) is None, seed
+
+
+def stand_in(codec, name, extra_at=None, delta=0):
+    """What profile_gap reads of `codec`, under another name and with
+    `delta` channel symbols added at slot `extra_at`."""
+    n_sizes = list(codec.n_sizes)
+    if extra_at is not None:
+        n_sizes[extra_at] += delta
+    return SimpleNamespace(name=name, params=codec.params, seq=codec.seq, n_sizes=n_sizes)
+
+
+@pytest.mark.parametrize(
+    "name,delta,gap_slot",
+    [
+        ("vgms", 0, None),  # meets the bound exactly
+        ("vgms", 1, 2),  # one symbol over the bound: exact mode refuses it
+        ("diagonal", 1, None),  # any other codec only has to dominate
+        ("vgms", -1, 2),  # one symbol short misses the bound either way
+        ("diagonal", -1, 2),
+    ],
+)
+def test_profile_gap_rule_comes_from_the_codec_name(name, delta, gap_slot):
+    fld = GF(8)
+    seq = terminate_sizes([3, 2, 1, 2, 1], 4, 3)
+    p = make_params(4, 2, m=3, t=seq.t)
+    codec = stand_in(bind_codec("vgms", p, fld, seq), name, extra_at=2, delta=delta)
+    gap = profile_gap(codec)
+    if gap_slot is None:
+        assert gap is None
+    else:
+        assert isinstance(gap, ProfileGap) and gap.slot == gap_slot
+        assert gap.have == gap.want + delta
+
+
+def test_profile_gap_skips_codecs_with_lossless_delay():
+    # tau_l > 0: the bound does not apply, so even an empty profile passes
+    fld = GF(8)
+    seq = terminate_sizes([2, 2, 2], 4, 2)
+    p = make_params(4, 2, tau_l=2, m=2, t=seq.t)
+    codec = bind_codec("diagonal", p, fld, seq)
+    assert profile_gap(codec) is None
+    assert profile_gap(stand_in(codec, "vgms", extra_at=0, delta=-2)) is None
+    assert verify_stream(codec, random_payload(seq, fld, 5), "full") is None
+
+
+def test_verify_stream_passes_vgms_and_reports_a_profile_gap():
+    fld = GF(8)
+    seq = terminate_sizes(random_sizes(5, 3, 2), 3, 3)
+    p = make_params(3, 2, m=3, t=seq.t)
+    codec = bind_codec("vgms", p, fld, seq)
+    payload = random_payload(seq, fld, 2)
+    assert verify_stream(codec, payload, "full") is None
+
+    class Padded:
+        """Decodes as the codec it wraps, but claims one channel symbol
+        more at the first slot: the profile overshoots the bound."""
+
+        def __getattr__(self, attr):
+            return getattr(codec, attr)
+
+        n_sizes = [n + (i == 0) for i, n in enumerate(codec.n_sizes)]
+
+    gap = verify_stream(Padded(), payload, "full")
+    assert isinstance(gap, ProfileGap) and gap.slot == 0
 
 
 def test_check_minimality_reports_first_gap():
@@ -96,7 +170,7 @@ def test_exhaustive_check_passes_for_vgms():
     assert exhaustive_decode_check(codec, payload, "full") is None
 
 
-def test_exhaustive_check_catches_corrupted_parity():
+def test_exhaustive_check_catches_corrupted_parity(monkeypatch):
     fld = GF(8)
     seq = terminate_sizes([2, 2, 1], 3, 2)
     p = make_params(3, 2, m=2, t=seq.t)
@@ -120,8 +194,15 @@ def test_exhaustive_check_catches_corrupted_parity():
         def decode(self, received):
             return codec.decode(received)
 
-    bad = exhaustive_decode_check(Tampered(), payload, "single")
-    assert bad is not None and bad.reason == "recovered symbols differ"
+    def no_profile_check(codec):
+        raise AssertionError("profile checked before the decode counterexample came back")
+
+    # verify_stream returns the counterexample before any profile check
+    monkeypatch.setattr(oracle, "profile_gap", no_profile_check)
+    for check in (exhaustive_decode_check, verify_stream):
+        bad = check(Tampered(), payload, "single")
+        assert isinstance(bad, Counterexample), check
+        assert bad.reason == "recovered symbols differ", check
 
 
 def test_decoded_before_burst_vgms_true_everywhere():
