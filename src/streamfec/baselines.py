@@ -51,18 +51,27 @@ class LinearStream:
         return [len(rows) for rows in self.slot_rows]
 
     def packet_values(self, flat_payload: list[int], fld: GF) -> list[list[int]]:
+        """Every channel symbol, evaluated in the log domain: each nonzero
+        term c * x is one antilog lookup exp[log c + log x], as in
+        `CauchyMatrix.combine`. `_eval_row` is the `GF.mul` reference."""
+        exp, log = fld.exp, fld.log
+        logs = [log[x] for x in flat_payload]  # None for a zero symbol
         packets = []
         for rows in self.slot_rows:
-            packets.append(
-                [
-                    _eval_row(fld, row, flat_payload)
-                    for row in rows
-                ]
-            )
+            pkt = []
+            for row in rows:
+                acc = 0
+                for idx, c in row.items():
+                    lx = logs[idx]
+                    if lx is not None and c:
+                        acc ^= exp[log[c] + lx]
+                pkt.append(acc)
+            packets.append(pkt)
         return packets
 
 
 def _eval_row(fld: GF, row: Row, flat: list[int]) -> int:
+    """One channel symbol through `GF.mul`: the scalar reference."""
     acc = 0
     for idx, c in row.items():
         acc ^= fld.mul(c, flat[idx])

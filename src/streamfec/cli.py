@@ -295,6 +295,7 @@ def cmd_sweep(args) -> int:
     fld = field(args.field_degree)
     failures: list[str] = []
     rate_rows: list[dict] = []
+    vgms_runs = 0
 
     for tau in range(2, args.tau_max + 1):
         for b in range(1, tau + 1):
@@ -303,6 +304,7 @@ def cmd_sweep(args) -> int:
                     args, seed, codec="vgms", tau=tau, b=b, tau_l=0, w=None, d=None
                 )
                 bad = oracle.verify_stream(codec, payload, "full")
+                vgms_runs += 1
                 if bad is not None:
                     failures.append(f"vgms tau={tau} b={b} seed={seed}: {bad!r}")
                 rate_rows.append(_rate_row(codec))
@@ -339,7 +341,7 @@ def cmd_sweep(args) -> int:
 
     summary = {
         "config": _config_dict(args),
-        "vgms_runs": args.seeds,
+        "vgms_runs": vgms_runs,
         "gap_cells": len(gap_reports),
         "failures": failures,
         "status": "ok" if not failures else "failed",

@@ -76,15 +76,24 @@ class LinearCodec:
         return self._n_sizes
 
     def encode(self, payload: Sequence[Sequence[int]]) -> list[list[int]]:
-        flat = [s for pkt in payload for s in pkt]
-        if len(flat) != self._offsets[-1]:
+        if [len(pkt) for pkt in payload] != list(self.seq):
             raise ValueError("payload does not match the size sequence")
+        flat = [s for pkt in payload for s in pkt]
         if not in_field(self.field, flat):
             raise ValueError("payload has an out-of-field symbol")
         return self.stream.packet_values(flat, self.field)
 
     def decode(self, received: Sequence[Sequence[int] | None]) -> DecodeResult:
         """Decode by incremental elimination, slot by slot.
+
+        Message i decodes at the first slot s >= i after which every one of
+        its unknowns is determined; an empty message decodes at its own
+        slot. After each slot only the messages that are open (their slot
+        has passed and they are not decoded) are looked at, and only from
+        their first unknown not yet known to be determined, through
+        `IncrementalDecoder.value_of`: a determined unknown stays
+        determined, so nothing is asked twice and the basis is never
+        rescanned.
 
         Raises ValueError for a received list or packet of the wrong length,
         an out-of-field symbol, or packets that contradict each other
@@ -94,11 +103,14 @@ class LinearCodec:
         seq = self.seq
         if len(received) != seq.t + 1:
             raise ValueError("received list must cover slots 0..t")
-        n_msg = self._offsets[-1]
+        off = self._offsets
+        n_msg = off[-1]
         dec = IncrementalDecoder(self.field, n_msg)
         times: list[int | None] = [None] * (seq.t + 1)
-        values: dict[int, int] = {}
-        pending = set(range(seq.t + 1))
+        messages: list[list[int] | None] = [None] * (seq.t + 1)
+        values = [0] * n_msg
+        waiting_from = off[:-1]  # per message: its first unknown not known determined
+        open_msgs: list[int] = []
         for s, pkt in enumerate(received):
             if pkt is not None:
                 rows = self.stream.slot_rows[s]
@@ -116,24 +128,23 @@ class LinearCodec:
                         raise ValueError(
                             f"received packets are inconsistent (slot {s})"
                         ) from exc
-            values = dec.determined()
-            done = []
-            for i in pending:
-                if i > s:
-                    continue  # a packet only counts once its slot has passed
-                lo, hi = self._offsets[i], self._offsets[i + 1]
-                if all(idx in values for idx in range(lo, hi)):
-                    times[i] = s if hi > lo else i
-                    done.append(i)
-            for i in done:
-                pending.remove(i)
-        messages = []
-        for i in range(seq.t + 1):
-            lo, hi = self._offsets[i], self._offsets[i + 1]
-            if times[i] is None:
-                messages.append(None)
-            else:
-                messages.append([values[idx] for idx in range(lo, hi)])
+            open_msgs.append(s)  # a packet only counts once its slot has passed
+            still_open = []
+            for i in open_msgs:
+                idx, hi = waiting_from[i], off[i + 1]
+                while idx < hi:
+                    v = dec.value_of(idx)
+                    if v is None:
+                        break
+                    values[idx] = v
+                    idx += 1
+                if idx == hi:
+                    times[i] = s
+                    messages[i] = values[off[i] : hi]
+                else:
+                    waiting_from[i] = idx
+                    still_open.append(i)
+            open_msgs = still_open
         return DecodeResult(messages, times)
 
 

@@ -5,10 +5,19 @@ it each received channel symbol as an equation over the flat message symbol
 vector and ask which unknowns are pinned down so far. Unknown j is
 determined exactly when e_j lies in the rowspace of the received equations;
 with the basis kept in reduced row echelon form that is the case when j is
-a pivot whose row has no other nonzero entry. Rowspace membership here and
-`cauchy.solve` are both answered by the same elimination; `cauchy.solve`
-is the generic reference that the closed-form Cauchy subsystem solve
-(`CauchyMatrix.solve_combination`) is tested against.
+a pivot whose row has no other nonzero entry.
+
+Two ways to ask. `value_of(j)` finds j's row through a pivot -> row map and
+reads that one row, so a receiver that tracks only the unknowns it still
+waits for never rescans the basis. `determined()` scans every row and
+returns all determined unknowns at once; it is the reference `value_of` is
+tested against. A determined unknown stays determined with the same value:
+its row has a zero in every later pivot column, so later eliminations leave
+it alone.
+
+Rowspace membership here and `cauchy.solve` are both answered by the same
+elimination; `cauchy.solve` is the generic reference that the closed-form
+Cauchy subsystem solve (`CauchyMatrix.solve_combination`) is tested against.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ class IncrementalDecoder:
         self.n = n
         self._rows: list[list[int]] = []  # each row: n coefficients + value
         self._pivots: list[int] = []
+        self._row_of: dict[int, int] = {}  # pivot column -> index into _rows
 
     def add_equation(self, coeffs: Sequence[int], value: int) -> bool:
         """Absorb coeffs . x = value.
@@ -55,9 +65,25 @@ class IncrementalDecoder:
             if row[piv]:
                 f = row[piv]
                 self._rows[i] = [a ^ fld.mul(f, c) for a, c in zip(row, r)]
+        self._row_of[piv] = len(self._rows)
         self._rows.append(r)
         self._pivots.append(piv)
         return True
+
+    def value_of(self, j: int) -> int | None:
+        """The value of unknown j if it is determined so far, else None.
+
+        Reads only the row whose pivot is j, never the whole basis.
+        """
+        i = self._row_of.get(j)
+        if i is None:
+            return None
+        row = self._rows[i]
+        # the pivot entry is nonzero, so j is alone in its row exactly when
+        # the other n - 1 coefficients are zero (row[n] is the value)
+        if row.count(0) - (row[self.n] == 0) != self.n - 1:
+            return None
+        return row[self.n]
 
     def determined(self) -> dict[int, int]:
         """Values of every unknown that is uniquely pinned down so far."""

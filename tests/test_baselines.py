@@ -242,3 +242,22 @@ def test_rate_never_exceeds_channel_capacity_bound():
             stream = offline_stream(sch, seq, fld)
             rate = Fraction(seq.total, sum(stream.n_sizes))
             assert rate <= Fraction(tau, tau + b)
+
+
+@pytest.mark.parametrize("degree", [4, 8, 16])
+def test_packet_values_equal_the_mul_reference(degree):
+    # the log-domain gather against _eval_row's GF.mul sum, row by row, on
+    # payloads where every third symbol is zero
+    fld = GF(degree)
+    p = make_params(4, 2, tau_l=2, m=3, t=7)
+    streams = [baselines.diagonal_stream(p, terminate_sizes([3, 0, 2, 3], 4, 3))]
+    for lemma, tau, b, tau_l, d in all_scheme_cases():
+        key = {"conv1": "lemma1", "conv2": "lemma2", "conv3": "lemma3"}[lemma]
+        for variant, seq in zip((1, 2), lemma_sequences(lemma, tau, b, tau_l, d)):
+            sch = make_scheme(f"{key}_seq{variant}", tau, b, tau_l, d)
+            streams.append(offline_stream(sch, seq, fld, seed=degree))
+    for seed, stream in enumerate(streams):
+        payload = random_payload(stream.seq, fld, seed)
+        flat = [0 if n % 3 == 0 else s for n, s in enumerate(s for pkt in payload for s in pkt)]
+        want = [[baselines._eval_row(fld, row, flat) for row in rows] for rows in stream.slot_rows]
+        assert stream.packet_values(flat, fld) == want

@@ -62,3 +62,47 @@ def test_decoder_solves_random_systems():
         for j, xv in enumerate(x):
             if j in got:
                 assert got[j] == xv
+
+
+def _found(dec):
+    return {j: v for j in range(dec.n) if (v := dec.value_of(j)) is not None}
+
+
+@pytest.mark.parametrize("degree", [4, 8])
+def test_value_of_agrees_with_determined_after_every_equation(degree):
+    # sparse random rows pin unknowns one by one; dependent rows, all-zero
+    # rows and contradicting rows must leave the two views in step
+    fld = GF(degree)
+    rng = random.Random(degree)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        x = [rng.randrange(fld.order) for _ in range(n)]
+        dec = IncrementalDecoder(fld, n)
+        sent: list[tuple[list[int], int]] = []
+        assert _found(dec) == dec.determined() == {}
+        for _ in range(2 * n + 4):
+            kind = rng.choice(("sparse", "sparse", "dense", "dependent", "zero", "contradiction"))
+            if kind == "zero":
+                coeffs = [0] * n
+            elif kind == "dependent" and sent:
+                coeffs = [0] * n
+                for row, _ in rng.sample(sent, rng.randint(1, len(sent))):
+                    f = rng.randrange(1, fld.order)
+                    coeffs = [a ^ fld.mul(f, c) for a, c in zip(coeffs, row)]
+            elif kind == "sparse":
+                coeffs = [rng.randrange(fld.order) if rng.random() < 0.3 else 0 for _ in range(n)]
+            else:
+                coeffs = [rng.randrange(fld.order) for _ in range(n)]
+            val = 0
+            for c, xv in zip(coeffs, x):
+                val ^= fld.mul(c, xv)
+            if kind == "contradiction" and sent:
+                row, val = rng.choice(sent)
+                with pytest.raises(InconsistentSystemError):
+                    dec.add_equation(row, val ^ rng.randrange(1, fld.order))
+            else:
+                dec.add_equation(coeffs, val)
+                sent.append((coeffs, val))
+            got = dec.determined()
+            assert _found(dec) == got
+            assert all(x[j] == v for j, v in got.items())
