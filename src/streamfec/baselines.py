@@ -55,7 +55,7 @@ class LinearStream:
         term c * x is one antilog lookup exp[log c + log x], as in
         `CauchyMatrix.combine`. `_eval_row` is the `GF.mul` reference."""
         exp, log = fld.exp, fld.log
-        logs = [log[x] for x in flat_payload]  # None for a zero symbol
+        logs = [log[x] if x else None for x in flat_payload]  # zero has no log
         packets = []
         for rows in self.slot_rows:
             pkt = []

@@ -6,11 +6,22 @@ reduces the carry-less product modulo an irreducible polynomial and is
 served from log/antilog tables built once at construction. The tables are
 generated with schoolbook polynomial multiplication, which stays exposed
 (`mul_schoolbook`) as an independent reference for the table path.
+
+The tables are lists for small fields and 2-byte `array("H")`s from degree
+`COMPACT_TABLES_FROM_DEGREE` up. A list holds a pointer per entry to a
+separate int object; at degree 16 that is about 5.5 MB, which misses cache
+on every lookup of the Cauchy kernels, while the arrays take 384 KB. Below
+the threshold the lists fit in cache and are faster, because CPython
+specialises list subscripts and not array subscripts. Both containers index
+alike and hold the same values; `log[0]` is a placeholder (0), since zero
+has no logarithm, and every caller tests a symbol for zero before reading
+its log.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from array import array
+from typing import MutableSequence, Sequence
 
 # One irreducible (in fact primitive) polynomial per degree, as bitmasks.
 DEFAULT_POLYS = {
@@ -31,6 +42,14 @@ DEFAULT_POLYS = {
     15: 0b1000000000000011,
     16: 0b10001000000001011,
 }
+
+# Tables become 2-byte arrays from this degree up. `bench/gf_tables.py`
+# (result in `bench/BENCH_gf_tables.json`), on a 2-core x86-64 host with
+# 2 MiB of L2 per core and Python 3.11, lists and arrays interleaved in one
+# process: the Cauchy parity combine on arrays took 0.40x the list time at
+# degree 16, 0.96x at 14, 1.34x at 13 and 1.46-1.54x at 8-12. GF.mul
+# crosses over at the same degree, and the burst solve is even there.
+COMPACT_TABLES_FROM_DEGREE = 14
 
 
 def poly_mod(a: int, m: int) -> int:
@@ -74,37 +93,41 @@ class GF:
         self.order = 1 << degree
         self._exp, self._log = self._build_tables()
 
-    def _build_tables(self) -> tuple[list[int], list[int | None]]:
+    def _build_tables(self) -> tuple[MutableSequence[int], MutableSequence[int]]:
         span = self.order - 1
-        if span == 1:
-            return [1, 1], [None, 0]
-        for g in range(2, self.order):
-            exp = [0] * (2 * span)
-            log: list[int | None] = [None] * self.order
-            val = 1
-            ok = True
-            for i in range(span):
-                if log[val] is not None:
-                    ok = False  # g generates a proper subgroup
+        compact = self.degree >= COMPACT_TABLES_FROM_DEGREE
+        for g in range(1, self.order):
+            if compact:  # zero-filled, with no transient list of ints
+                exp, log = array("H", bytes(2 * span)), array("H", bytes(2 * self.order))
+            else:
+                exp, log = [0] * span, [0] * self.order
+            exp[0] = 1  # log[1] = 0 already
+            val = g
+            for i in range(1, span):
+                # powers of g return to 1 before any other value repeats, so
+                # g**i == 1 with i < span means g generates a proper subgroup
+                if val == 1:
                     break
                 exp[i] = val
                 log[val] = i
                 val = self.mul_schoolbook(val, g)
-            if ok:
-                for i in range(span, 2 * span):
-                    exp[i] = exp[i - span]
-                return exp, log
+            else:
+                return exp + exp, log
         raise AssertionError("no multiplicative generator found")
 
     @property
-    def exp(self) -> list[int]:
+    def exp(self) -> Sequence[int]:
         """Antilog table, doubled: exp[i] = g**i for 0 <= i < 2 * (order - 1),
-        so a sum of two logs indexes it without a reduction. Read only."""
+        so a sum of two logs indexes it without a reduction. A list, or an
+        array("H") from degree COMPACT_TABLES_FROM_DEGREE up. Read only."""
         return self._exp
 
     @property
-    def log(self) -> list[int | None]:
-        """Log table: log[a] is the i with g**i == a, None for a == 0. Read only."""
+    def log(self) -> Sequence[int]:
+        """Log table: log[a] is the i with g**i == a, for a != 0. log[0] is a
+        placeholder (0) that no caller may read: test a symbol for zero
+        before taking its log. A list, or an array("H") from degree
+        COMPACT_TABLES_FROM_DEGREE up. Read only."""
         return self._log
 
     def add(self, a: int, b: int) -> int:
@@ -138,9 +161,21 @@ class GF:
 
 
 def in_field(fld: GF, symbols: Sequence[int]) -> bool:
-    """Is every symbol an element of `fld`? One min/max pass, cheap next to
-    the arithmetic."""
-    return not symbols or (min(symbols) >= 0 and max(symbols) < fld.order)
+    """Is every symbol an int element of `fld`?
+
+    One C-speed pass packs the symbols as bytes (degree <= 8) or as a 2-byte
+    array, which refuses any non-int, such as a float or a str, and any int
+    outside [0, 2^8) or [0, 2^16). Only a field smaller than that needs a
+    max pass as well.
+    """
+    try:
+        if fld.degree <= 8:
+            bytes(symbols)
+        else:
+            array("H", symbols)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return fld.degree in (8, 16) or not symbols or max(symbols) < fld.order
 
 
 _FIELD_CACHE: dict[tuple[int, int | None], GF] = {}

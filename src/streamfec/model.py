@@ -193,19 +193,27 @@ def stream_rate(tr: Transcript) -> Fraction:
     return Fraction(num, den)
 
 
+def deadline_violation(
+    sizes: Sequence[int], decode_times: Sequence[int | None], budget: int
+) -> DelayViolation | None:
+    """First slot i with sizes[i] > 0 not decoded by slot i + budget, or None.
+
+    The one deadline rule: zero-size packets carry nothing and are never
+    violations, and a packet never decoded (None) always is.
+    """
+    for i, (k, done) in enumerate(zip(sizes, decode_times)):
+        if k and (done is None or done > i + budget):
+            return DelayViolation(i, done, i + budget)
+    return None
+
+
 def check_delays(tr: Transcript, lossless: bool) -> DelayViolation | None:
-    """First deadline violation, or None.
+    """First deadline violation of a transcript, or None.
 
     Lossless mode holds packets to slot + tau_l; lossy mode to slot + tau.
-    Zero-size packets carry nothing and are never violations.
     """
     budget = tr.params.tau_l if lossless else tr.params.tau
-    for rec in tr.records:
-        if rec.k == 0:
-            continue
-        if rec.decode_time is None or rec.decode_time > rec.slot + budget:
-            return DelayViolation(rec.slot, rec.decode_time, rec.slot + budget)
-    return None
+    return deadline_violation(tr.k_sizes, [r.decode_time for r in tr.records], budget)
 
 
 def random_sizes(length: int, m: int, seed: int) -> list[int]:

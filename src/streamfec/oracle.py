@@ -12,18 +12,11 @@ to the lower bound exactly and any other codec to dominance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .channel import enumerate_patterns, apply_pattern, erased_runs
-from .model import (
-    CodeParams,
-    SizeSequence,
-    Transcript,
-    build_transcript,
-    check_delays,
-    require_valid,
-)
+from .model import CodeParams, SizeSequence, deadline_violation, require_valid
 from .vgms import DecodeFailure
 
 
@@ -117,7 +110,7 @@ def exhaustive_decode_check(
     p: CodeParams = codec.params
     seq: SizeSequence = codec.seq
     packets = codec.encode(payload)
-    n_sizes = codec.n_sizes
+    sizes = seq.sizes
     originals = [list(pkt) for pkt in payload]
     for pattern in enumerate_patterns(p, mode):
         received = apply_pattern(pattern, packets)
@@ -125,14 +118,13 @@ def exhaustive_decode_check(
             result = codec.decode(received)
         except DecodeFailure as exc:
             return Counterexample(pattern, None, f"decode failure: {exc}")
-        for i in range(seq.t + 1):
-            if result.messages[i] != originals[i]:
-                return Counterexample(pattern, i, "recovered symbols differ")
-        tr = build_transcript(p, seq, n_sizes, pattern, result.decode_times)
-        bad, kind = check_delays(tr, lossless=False), "worst-case"
+        if result.messages != originals:
+            for i in range(seq.t + 1):
+                if result.messages[i] != originals[i]:
+                    return Counterexample(pattern, i, "recovered symbols differ")
+        bad, kind = deadline_violation(sizes, result.decode_times, p.tau), "worst-case"
         if bad is None and not pattern:
-            lossless_tr = Transcript(replace(p, tau_l=codec.tau_l), tr.records)
-            bad, kind = check_delays(lossless_tr, lossless=True), "lossless"
+            bad, kind = deadline_violation(sizes, result.decode_times, codec.tau_l), "lossless"
         if bad is not None:
             return Counterexample(
                 pattern, bad.slot, f"{kind} deadline missed ({bad.decode_time} > {bad.deadline})"

@@ -2,6 +2,8 @@
 received stream either returns a DecodeResult or raises ValueError, and
 nothing else; every encode of a payload of the wrong shape or with an
 out-of-field symbol raises ValueError, and every other payload round-trips.
+A symbol is out of the field when it is not an int (a float or a str) or
+lies outside [0, order).
 
 Hypothesis runs derandomized with a fixed example budget and no example
 database, so the examples are the same on every run.
@@ -18,8 +20,9 @@ from streamfec.model import make_params, random_payload, terminate_sizes
 from streamfec.vgms import DecodeResult
 
 CODECS = ("vgms", "diagonal") + SCHEME_IDS
-KINDS = ("erase", "list_length", "packet_length", "symbol")
-ENCODE_KINDS = ("list_length", "message_length", "symbol")
+SYMBOL_KINDS = ("symbol", "float_symbol", "str_symbol")
+KINDS = ("erase", "list_length", "packet_length") + SYMBOL_KINDS
+ENCODE_KINDS = ("list_length", "message_length") + SYMBOL_KINDS
 # one small (lemma, tau, b, tau_l, d) per lemma; each scheme runs on its
 # variant's sequence
 LEMMA_CASES = {
@@ -47,6 +50,16 @@ def _bind(codec_id):
 
 
 BINDINGS = {codec_id: _bind(codec_id) for codec_id in CODECS}
+
+
+def _draw_symbol(data, order, kind):
+    """A replacement symbol, and whether it is out of the field."""
+    if kind == "float_symbol":
+        return data.draw(st.floats(0, order - 1), "symbol"), True
+    if kind == "str_symbol":
+        return data.draw(st.integers(0, order - 1).map(str) | st.text(max_size=2), "symbol"), True
+    symbol = data.draw(st.sampled_from([-1, order]) | st.integers(0, order - 1), "symbol")
+    return symbol, not 0 <= symbol < order
 
 
 def _malformed(data, codec, packets, kind):
@@ -79,11 +92,8 @@ def _malformed(data, codec, packets, kind):
         sent = [i for i, pkt in enumerate(packets) if pkt]
         slot = data.draw(st.sampled_from(sent), "slot")
         pkt = list(packets[slot])
-        symbol = data.draw(
-            st.sampled_from([-1, order]) | st.integers(0, order - 1), "symbol"
-        )
+        symbol, bad = _draw_symbol(data, order, kind)
         pkt[data.draw(st.integers(0, len(pkt) - 1), "pos")] = symbol
-        bad = not 0 <= symbol < order
     received[slot] = pkt
     erased.discard(slot)
     return erased, received, bad
@@ -101,7 +111,7 @@ def test_decode_returns_a_result_or_raises_value_error(codec_id, kind, data):
     except ValueError:
         # besides a malformed stream, a decoder may refuse an inadmissible
         # pattern (vgms checks) or corrupted symbols it can detect
-        may_refuse = kind == "symbol" or (
+        may_refuse = kind in SYMBOL_KINDS or (
             codec_id == "vgms" and not is_admissible(tuple(erased), codec.params)
         )
         assert bad or may_refuse, (sorted(erased), received)
@@ -134,11 +144,8 @@ def test_encode_refuses_a_malformed_payload(codec_id, kind, data):
     else:
         sent = [i for i, msg in enumerate(payload) if msg]
         slot = data.draw(st.sampled_from(sent), "slot")
-        symbol = data.draw(
-            st.sampled_from([-1, order]) | st.integers(0, order - 1), "symbol"
-        )
+        symbol, bad = _draw_symbol(data, order, kind)
         payload[slot][data.draw(st.integers(0, len(payload[slot]) - 1), "pos")] = symbol
-        bad = not 0 <= symbol < order
     if bad:
         with pytest.raises(ValueError):
             codec.encode(payload)

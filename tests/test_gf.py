@@ -1,11 +1,23 @@
 """Field arithmetic: table path against schoolbook, axioms, small-field
-exhaustive checks."""
+exhaustive checks, and the tables' container and log[0] contract."""
 
 import random
+import sys
+from array import array
 
 import pytest
 
-from streamfec.gf import GF, DEFAULT_POLYS, field, is_irreducible
+from streamfec import baselines
+from streamfec.cauchy import build_cauchy, vec_mat
+from streamfec.gf import (
+    COMPACT_TABLES_FROM_DEGREE,
+    DEFAULT_POLYS,
+    GF,
+    field,
+    in_field,
+    is_irreducible,
+)
+from streamfec.model import SizeSequence
 
 
 def test_add_identity_and_self_inverse():
@@ -109,3 +121,68 @@ def test_default_polys_all_irreducible():
 
 def test_field_cache_returns_same_object():
     assert field(8) is field(8)
+
+
+@pytest.mark.parametrize("degree", range(1, 17))
+def test_tables_agree_with_schoolbook(degree):
+    # exp walks the powers of one generator by schoolbook multiplication and
+    # log inverts it: exhaustively up to degree 10, on a sample above
+    gf = GF(degree)
+    span = gf.order - 1
+    assert type(gf.exp) is type(gf.log) is (array if degree >= COMPACT_TABLES_FROM_DEGREE else list)
+    assert len(gf.exp) == 2 * span and len(gf.log) == gf.order
+    assert gf.exp[span:] == gf.exp[:span]
+    g = gf.exp[1 % span]
+    if degree <= 10:
+        steps = range(span)
+        assert sorted(gf.exp[:span]) == list(range(1, gf.order))
+    else:
+        steps = random.Random(degree).sample(range(span), 2000)
+    for i in steps:
+        assert gf.exp[(i + 1) % span] == gf.mul_schoolbook(gf.exp[i], g)
+        assert gf.log[gf.exp[i]] == i
+
+
+@pytest.mark.parametrize("degree", [8, 16])
+def test_mul_and_inv_agree_with_schoolbook(degree):
+    gf = GF(degree)
+    rng = random.Random(degree)
+    for _ in range(3000):
+        a, b = rng.randrange(gf.order), rng.randrange(gf.order)
+        assert gf.mul(a, b) == gf.mul_schoolbook(a, b)
+        if a:
+            assert gf.mul_schoolbook(a, gf.inv(a)) == 1
+
+
+def test_log_domain_kernels_never_read_log_of_zero():
+    # log[0] is a placeholder; with zero symbols and coefficients in the
+    # inputs, the log-domain kernels must still match the GF.mul references
+    gf = GF(16)
+    rng = random.Random(16)
+    flat = [rng.choice([0, rng.randrange(gf.order)]) for _ in range(40)]
+    rows = [
+        [{idx: rng.choice([0, rng.randrange(1, gf.order)]) for idx in rng.sample(range(40), 6)}
+         for _ in range(3)]
+        for _ in range(5)
+    ]
+    stream = baselines.LinearStream(SizeSequence([8] * 5), 0, rows)
+    want = [[baselines._eval_row(gf, row, flat) for row in slot] for slot in rows]
+    assert stream.packet_values(flat, gf) == want
+
+    mat = build_cauchy(12, gf, seed=3)
+    vec = [rng.choice([0, rng.randrange(gf.order)]) for _ in range(12)]
+    cols = [1, 4, 5, 11]
+    assert mat.combine(enumerate(vec), cols) == vec_mat(gf, vec, mat.submatrix(range(12), cols))
+
+
+def test_large_field_tables_fit_in_cache():
+    gf = GF(16)
+    assert sys.getsizeof(gf.exp) + sys.getsizeof(gf.log) < 1 << 20
+
+
+@pytest.mark.parametrize("degree", [1, 4, 7, 8, 9, 15, 16])
+def test_in_field_takes_ints_of_the_field_only(degree):
+    gf = GF(degree)
+    assert in_field(gf, []) and in_field(gf, [0, gf.order - 1, 1])
+    for bad in (gf.order, -1, 1 << 16, 1.5, 1.0, "1", None):
+        assert not in_field(gf, [0, bad, 1]), bad
