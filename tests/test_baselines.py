@@ -247,7 +247,8 @@ def test_rate_never_exceeds_channel_capacity_bound():
 @pytest.mark.parametrize("degree", [4, 8, 16])
 def test_packet_values_equal_the_mul_reference(degree):
     # the log-domain gather against _eval_row's GF.mul sum, row by row, on
-    # payloads where every third symbol is zero
+    # payloads where every third symbol is zero (log[0] is a placeholder no
+    # kernel may read)
     fld = GF(degree)
     p = make_params(4, 2, tau_l=2, m=3, t=7)
     streams = [baselines.diagonal_stream(p, terminate_sizes([3, 0, 2, 3], 4, 3))]

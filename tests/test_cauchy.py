@@ -163,7 +163,8 @@ def test_solve_singular_raises():
 
 def test_combine_matches_dense_product():
     # the log-domain combine against the scalar GF.mul / GF.inv product,
-    # with zero values among the pairs and non-contiguous columns
+    # with zero values among the pairs (log[0] is a placeholder no kernel
+    # may read) and non-contiguous columns
     for degree in (8, 16):
         fld = GF(degree)
         a = build_cauchy(40, fld, seed=11)
