@@ -4,8 +4,10 @@ Exit codes: 0 on success, 1 when an assertion fails (deadline violation,
 minimality gap, non-separation, decode mismatch, or a library error that
 means a construction guarantee broke: `vgms.DecodeFailure`,
 `cauchy.SingularMatrixError`, `gap.GapCheckError`), 2 for configuration
-errors. Every output file embeds the run configuration for replay, and a
-fixed seed reproduces byte-identical outputs.
+errors, a run too large to hold in memory among them. Every non-zero exit
+prints one `error: ...` line to stderr. Every output file embeds the run
+configuration for replay, and a fixed seed reproduces byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -152,6 +154,12 @@ def _config_value(action: argparse.Action, value, path: str):
     return value
 
 
+def _failed(reason: str) -> int:
+    """Exit 1 for a check the run made and found failing; its report is out."""
+    print(f"error: {reason}", file=sys.stderr)
+    return 1
+
+
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -232,7 +240,7 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         ok = False
-    return 0 if ok else 1
+    return 0 if ok else _failed("the decode missed the payload or a deadline")
 
 
 def _seeded_run(args, seed: int, **flags):
@@ -277,7 +285,7 @@ def cmd_verify(args) -> int:
     if failure:
         report["failure"] = failure
     _emit(args, json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return 0 if status == "ok" else 1
+    return 0 if failure is None else _failed(f"{status} at seed {failure['seed']}")
 
 
 def cmd_gap(args) -> int:
@@ -286,7 +294,7 @@ def cmd_gap(args) -> int:
     report = gap_mod.run_gap(args.lemma, args.tau, args.b, args.tau_l, args.d, fld)
     rows = gap_mod.report_csv_rows([report])
     _emit(args, emit_rate_table(rows, _config_dict(args)))
-    return 0 if report.separated else 1
+    return 0 if report.separated else _failed(f"{args.lemma} rates are not separated")
 
 
 def cmd_sweep(args) -> int:
@@ -348,7 +356,7 @@ def cmd_sweep(args) -> int:
     }
     _emit(args, emit_rate_table(rate_rows, _config_dict(args)))
     print(json.dumps(summary, sort_keys=True, indent=2), file=sys.stderr)
-    return 0 if not failures else 1
+    return 0 if not failures else _failed(f"{len(failures)} check(s) failed")
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -459,6 +467,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError):
+        # a size flag asks for more than fits, e.g. --tau 2**62: the stream
+        # alone would hold that many slots
+        print("error: the configured run is too large to hold in memory", file=sys.stderr)
         return 2
     except (DecodeFailure, SingularMatrixError, gap_mod.GapCheckError) as exc:
         # the library found its own guarantee broken: an assertion failure

@@ -2,10 +2,13 @@
 
 Field elements are plain ints in [0, 2^e); the bits of an element are the
 coefficients of a polynomial over GF(2). Addition is XOR. Multiplication
-reduces the carry-less product modulo an irreducible polynomial and is
-served from log/antilog tables built once at construction. The tables are
-generated with schoolbook polynomial multiplication, which stays exposed
-(`mul_schoolbook`) as an independent reference for the table path.
+reduces the carry-less product modulo a primitive polynomial and is served
+from log/antilog tables built once at construction. Primitive means that x
+generates the multiplicative group, so the tables come from one walk over
+the powers of x: each step is a shift, reduced by one XOR with the
+polynomial when it reaches the field's degree. Schoolbook polynomial
+multiplication stays exposed (`mul_schoolbook`) as an independent reference
+for the table path.
 
 The tables are lists for small fields and 2-byte `array("H")`s from degree
 `COMPACT_TABLES_FROM_DEGREE` up. A list holds a pointer per entry to a
@@ -23,7 +26,8 @@ from __future__ import annotations
 from array import array
 from typing import MutableSequence, Sequence
 
-# One irreducible (in fact primitive) polynomial per degree, as bitmasks.
+# One primitive polynomial per degree, as bitmasks: x generates the
+# multiplicative group, so exp[1] == 2 from degree 2 up.
 DEFAULT_POLYS = {
     1: 0b11,
     2: 0b111,
@@ -73,7 +77,8 @@ def is_irreducible(poly: int, degree: int) -> bool:
 
 
 class GF:
-    """The field GF(2^degree) reduced by `poly`.
+    """The field GF(2^degree) reduced by `poly`, a primitive polynomial
+    (default `DEFAULT_POLYS[degree]`); any other polynomial is a ValueError.
 
     Instances are immutable after construction and safe to share across
     threads; all operations are pure functions of their arguments.
@@ -95,36 +100,37 @@ class GF:
 
     def _build_tables(self) -> tuple[MutableSequence[int], MutableSequence[int]]:
         span = self.order - 1
-        compact = self.degree >= COMPACT_TABLES_FROM_DEGREE
-        for g in range(1, self.order):
-            if compact:  # zero-filled, with no transient list of ints
-                exp, log = array("H", bytes(2 * span)), array("H", bytes(2 * self.order))
-            else:
-                exp, log = [0] * span, [0] * self.order
-            exp[0] = 1  # log[1] = 0 already
-            val = g
-            for i in range(1, span):
-                # powers of g return to 1 before any other value repeats, so
-                # g**i == 1 with i < span means g generates a proper subgroup
-                if val == 1:
-                    break
-                exp[i] = val
-                log[val] = i
-                val = self.mul_schoolbook(val, g)
-            else:
-                return exp + exp, log
-        raise AssertionError("no multiplicative generator found")
+        if self.degree >= COMPACT_TABLES_FROM_DEGREE:  # zero-filled, with no transient list of ints
+            exp, log = array("H", bytes(2 * span)), array("H", bytes(2 * self.order))
+        else:
+            exp, log = [0] * span, [0] * self.order
+        order, poly = self.order, self.poly
+        val = 1
+        for i in range(span):
+            exp[i] = val
+            log[val] = i
+            val <<= 1
+            if val & order:
+                val ^= poly
+        # if x**r == 1 for some 0 < r < span, the walk came back to 1 and
+        # rewrote log[1]: x generates a proper subgroup only
+        if log[1]:
+            raise ValueError(
+                f"0x{poly:x} is irreducible but not primitive: x has order "
+                f"{exp.index(1, 1)}, not {span}"
+            )
+        return exp + exp, log
 
     @property
     def exp(self) -> Sequence[int]:
-        """Antilog table, doubled: exp[i] = g**i for 0 <= i < 2 * (order - 1),
+        """Antilog table, doubled: exp[i] = x**i for 0 <= i < 2 * (order - 1),
         so a sum of two logs indexes it without a reduction. A list, or an
         array("H") from degree COMPACT_TABLES_FROM_DEGREE up. Read only."""
         return self._exp
 
     @property
     def log(self) -> Sequence[int]:
-        """Log table: log[a] is the i with g**i == a, for a != 0. log[0] is a
+        """Log table: log[a] is the i with x**i == a, for a != 0. log[0] is a
         placeholder (0) that no caller may read: test a symbol for zero
         before taking its log. A list, or an array("H") from degree
         COMPACT_TABLES_FROM_DEGREE up. Read only."""

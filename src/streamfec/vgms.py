@@ -97,11 +97,12 @@ def parity_budget(
 
     For each window start j in {i-b+1, .., i}: parity allocated to slots
     j+b .. i+tau-1 minus message symbols of slots j .. i-1. Requires i >= b,
-    so j never goes negative.
+    so j never goes negative. Walking j down from i, each step adds one
+    parity slot and one message to the window.
     """
-    best = sum(parity_sizes[i + b : i + tau])  # j = i: nothing queued yet
-    for j in range(i - b + 1, i):
-        spare = sum(parity_sizes[j + b : i + tau]) - sum(k_sizes[j:i])
+    spare = best = sum(parity_sizes[i + b : i + tau])  # j = i: nothing queued yet
+    for j in range(i - 1, i - b, -1):
+        spare += parity_sizes[j + b] - k_sizes[j]
         if spare < best:
             best = spare
     return best

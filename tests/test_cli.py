@@ -396,7 +396,7 @@ def test_verify_failure_names_seed_and_sizes(
     capsys, monkeypatch, codec, tau, b, break_it, status
 ):
     break_it(monkeypatch)
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys,
         "verify",
         "--codec", codec,
@@ -407,6 +407,7 @@ def test_verify_failure_names_seed_and_sizes(
         "--field-degree", "8",
     )
     assert code == 1
+    assert err == f"error: {status} at seed 0\n"
     report = json.loads(out)
     assert report["status"] == status
     failure = report["failure"]

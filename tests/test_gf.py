@@ -100,11 +100,21 @@ def test_multiplicative_group_order():
             assert acc == 1
 
 
-def test_reducible_polynomial_rejected():
-    # x^4 + x^2 + 1 = (x^2 + x + 1)^2
-    assert not is_irreducible(0b10101, 4)
+@pytest.mark.parametrize(
+    "degree,poly,irreducible",
+    [
+        (4, 0b10101, False),  # x^4 + x^2 + 1 = (x^2 + x + 1)^2
+        (8, 0x11B, True),  # the AES polynomial: x has order 51, not 255
+        (4, 0b11111, True),  # x^4 + x^3 + x^2 + x + 1: x has order 5, not 15
+    ],
+    ids=["reducible", "order-51", "order-5"],
+)
+def test_non_primitive_polynomial_rejected(degree, poly, irreducible):
+    # the tables walk the powers of x, so x must generate the whole group:
+    # irreducibility is checked first, then the walk refuses an early return to 1
+    assert is_irreducible(poly, degree) is irreducible
     with pytest.raises(ValueError):
-        GF(4, 0b10101)
+        GF(degree, poly)
 
 
 def test_degree_out_of_range():
@@ -117,6 +127,7 @@ def test_degree_out_of_range():
 def test_default_polys_all_irreducible():
     for degree, poly in DEFAULT_POLYS.items():
         assert is_irreducible(poly, degree)
+        assert GF(degree, poly).exp[1] == (2 if degree >= 2 else 1)  # primitive: x generates
 
 
 def test_field_cache_returns_same_object():
@@ -125,8 +136,8 @@ def test_field_cache_returns_same_object():
 
 @pytest.mark.parametrize("degree", range(1, 17))
 def test_tables_agree_with_schoolbook(degree):
-    # exp walks the powers of one generator by schoolbook multiplication and
-    # log inverts it: exhaustively up to degree 10, on a sample above
+    # exp walks the powers of x and log inverts it; each step is checked by
+    # schoolbook multiplication, exhaustively up to degree 10, on a sample above
     gf = GF(degree)
     span = gf.order - 1
     assert type(gf.exp) is type(gf.log) is (array if degree >= COMPACT_TABLES_FROM_DEGREE else list)

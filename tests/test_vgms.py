@@ -16,11 +16,13 @@ from streamfec.model import (
     symbol_offsets,
     terminate_sizes,
 )
+from streamfec import vgms
 from streamfec.vgms import (
     VgmsEncoder,
     decode_stream,
     encode_stream,
     packet_layout,
+    parity_budget,
 )
 
 REF_SIZES = [3, 2, 1, 2, 1]  # the worked reference stream, tau=4 b=2
@@ -61,6 +63,35 @@ def test_budgets_never_negative_on_random_streams():
         p = make_params(tau, b, m=3, t=seq.t)
         layout = packet_layout(seq, p)
         assert all(z is None or z >= 0 for z in layout.budgets), (tau, b, seed)
+
+
+def slice_sum_budget(k_sizes, parity_sizes, i, tau, b):
+    """parity_budget's definition, one pair of slice sums per window start:
+    the reference for its running window."""
+    return min(
+        sum(parity_sizes[j + b : i + tau]) - sum(k_sizes[j:i])
+        for j in range(i - b + 1, i + 1)
+    )
+
+
+@pytest.mark.parametrize("tau,b", [(2, 1), (4, 2), (8, 8), (16, 4)])
+def test_parity_budget_matches_slice_sums(tau, b, monkeypatch):
+    m = 5
+    rng = random.Random(f"{tau}:{b}")
+    for _ in range(30):
+        # zeros and full-m messages often, anything in between too
+        sizes = [rng.choice((0, m, rng.randint(0, m))) for _ in range(rng.randint(1, 40))]
+        seq = terminate_sizes(sizes, tau, m)
+        p = make_params(tau, b, m=m, t=seq.t)
+        layout = packet_layout(seq, p)
+        for i in range(b, seq.t + 1):  # each split's state: slots before i
+            k_sizes, parity_sizes = layout.k_sizes[:i], layout.parity_sizes[: i + tau]
+            want = slice_sum_budget(k_sizes, parity_sizes, i, tau, b)
+            assert parity_budget(k_sizes, parity_sizes, i, tau, b) == want == layout.budgets[i]
+        with monkeypatch.context() as mp:
+            mp.setattr(vgms, "parity_budget", slice_sum_budget)
+            ref = packet_layout(seq, p)
+        assert layout.trace() == ref.trace() and layout.budgets == ref.budgets
 
 
 def test_zero_size_packet_splits_empty():
