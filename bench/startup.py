@@ -14,15 +14,16 @@ encodes or decodes, each against the way it was computed before:
     packet_layout  `vgms.packet_layout` of streams sized as vgms-bulk binds
                    them (tau=16, b=4, m=32, 100 messages, mirrored pairs):
                    `vgms.parity_budget`'s running window against one pair
-                   of slice sums per window start
+                   of slice sums per window start, the reference that
+                   tests/test_vgms.py checks it against
 
 Both sides of a case must give identical tables or layouts. The samples are
 interleaved in one process: every round times each case on both sides, in
 alternating order, so drift of a shared host falls on both alike. The
 result gives the median time per call of each side and the ratio
 after / before; below 1 the current code is faster. Run from the root of a
-source checkout; the package is imported from `src/`. The last line of
-standard output is the JSON result.
+source checkout; the package is imported from `src/` and the reference
+budget from `tests/`. The last line of standard output is the JSON result.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE.parent / "tests"))
 
 from gf_tables import environment, time_call  # noqa: E402
+from test_vgms import slice_sum_budget  # noqa: E402
 from streamfec import vgms  # noqa: E402
 from streamfec.gf import COMPACT_TABLES_FROM_DEGREE, GF  # noqa: E402
 from streamfec.model import make_params, terminate_sizes  # noqa: E402
@@ -77,16 +80,6 @@ class SearchGF(GF):
         raise RuntimeError("no multiplicative generator found")
 
 
-def slice_sum_budget(k_sizes, parity_sizes, i, tau, b):
-    """`vgms.parity_budget` as before: one pair of slice sums per window start."""
-    best = sum(parity_sizes[i + b : i + tau])
-    for j in range(i - b + 1, i):
-        spare = sum(parity_sizes[j + b : i + tau]) - sum(k_sizes[j:i])
-        if spare < best:
-            best = spare
-    return best
-
-
 def layouts(streams, budget) -> list:
     """Every stream's layout, its budgets computed by `budget`."""
     saved = vgms.parity_budget
@@ -97,9 +90,10 @@ def layouts(streams, budget) -> list:
         vgms.parity_budget = saved
 
 
-def layout_streams(size: dict, seed: int) -> list:
-    """(sequence, params) of mirrored pairs of uniform size draws."""
-    rng = random.Random(seed)
+def layout_streams(size: dict) -> list:
+    """(sequence, params) of mirrored pairs of uniform size draws, seeded
+    with 0."""
+    rng = random.Random(0)
     tau, b, m = size["tau"], size["b"], size["m"]
     out = []
     for _ in range(size["streams"] // 2):
@@ -110,7 +104,7 @@ def layout_streams(size: dict, seed: int) -> list:
     return out
 
 
-def cases(size: dict, seed: int) -> dict:
+def cases(size: dict) -> dict:
     """case name -> {side: zero-argument call}, each side checked against
     the other once."""
     out = {}
@@ -122,7 +116,7 @@ def cases(size: dict, seed: int) -> dict:
             "before": lambda d=degree: SearchGF(d),
             "after": lambda d=degree: GF(d),
         }
-    streams = layout_streams(size, seed)
+    streams = layout_streams(size)
     old, new = layouts(streams, slice_sum_budget), layouts(streams, vgms.parity_budget)
     for was, now in zip(old, new):
         if (was.trace(), was.budgets) != (now.trace(), now.budgets):
@@ -134,8 +128,8 @@ def cases(size: dict, seed: int) -> dict:
     return out
 
 
-def run(size: dict, seed: int) -> list[dict]:
-    calls = cases(size, seed)
+def run(size: dict) -> list[dict]:
+    calls = cases(size)
     samples = {(name, side): [] for name in calls for side in SIDES}
     for r in range(size["rounds"]):
         order = SIDES if r % 2 == 0 else SIDES[::-1]
@@ -157,18 +151,16 @@ def run(size: dict, seed: int) -> list[dict]:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--quick", action="store_true", help="smoke run, under 2 s")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=Path, default=None,
                     help="JSON file to write (default: bench/BENCH_startup.json, none with --quick)")
     args = ap.parse_args(argv)
     size = QUICK if args.quick else FULL
     t0 = time.perf_counter()
-    results = run(size, args.seed)
+    results = run(size)
     doc = {
         "bench": "startup",
         "environment": environment(),
         "quick": args.quick,
-        "seed": args.seed,
         "size": size,
         "results": results,
         "wall_s": round(time.perf_counter() - t0, 2),

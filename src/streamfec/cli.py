@@ -4,10 +4,9 @@ Exit codes: 0 on success, 1 when an assertion fails (deadline violation,
 minimality gap, non-separation, decode mismatch, or a library error that
 means a construction guarantee broke: `vgms.DecodeFailure`,
 `cauchy.SingularMatrixError`, `gap.GapCheckError`), 2 for configuration
-errors, a run too large to hold in memory among them. Every non-zero exit
-prints one `error: ...` line to stderr. Every output file embeds the run
-configuration for replay, and a fixed seed reproduces byte-identical
-outputs.
+errors. Every non-zero exit prints one `error: ...` line to stderr. Every
+output file embeds the run configuration for replay, and a fixed seed
+reproduces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -467,11 +466,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MemoryError, OverflowError):
-        # a size flag asks for more than fits, e.g. --tau 2**62: the stream
-        # alone would hold that many slots
-        print("error: the configured run is too large to hold in memory", file=sys.stderr)
         return 2
     except (DecodeFailure, SingularMatrixError, gap_mod.GapCheckError) as exc:
         # the library found its own guarantee broken: an assertion failure

@@ -132,7 +132,11 @@ def terminate_sizes(raw: Sequence[int], tau: int, m: int) -> SizeSequence:
             raise ValueError(f"message size {k} outside [0, {m}]")
     if len(raw) >= tau and all(k == 0 for k in raw[-tau:]):
         return SizeSequence(raw)
-    return SizeSequence(raw + [0] * tau)
+    try:
+        tail = [0] * tau
+    except (MemoryError, OverflowError):
+        raise ValueError(f"tau = {tau} zero-size slots do not fit in memory") from None
+    return SizeSequence(raw + tail)
 
 
 @dataclass

@@ -54,6 +54,13 @@ def test_terminate_rejects_oversize():
         terminate_sizes([4], 4, 3)
 
 
+@pytest.mark.parametrize("tau", [2**62, 10**20])
+def test_terminate_refuses_a_tail_too_large_to_allocate(tau):
+    # one a list can index but not hold, and one past what it can index
+    with pytest.raises(ValueError, match=f"tau = {tau} "):
+        terminate_sizes([1], tau, 3)
+
+
 def test_terminate_idempotent():
     once = terminate_sizes([3, 2, 1, 2, 1], 4, 3)
     again = terminate_sizes(list(once), 4, 3)
