@@ -8,9 +8,9 @@ Times three table-driven kernels at degrees 8, 12, 13, 14 and 16, each with
 the field's log/antilog tables held as Python lists and as array("H"):
 
     mul      GF.mul over random pairs of field elements
-    combine  CauchyMatrix.combine of a full random vector onto a few
-             columns (the encoder's parity combine), one antilog lookup
-             per coefficient
+    combine  CauchyMatrix.combine of a full random vector, given as its
+             `terms`, onto a few columns (the encoder's parity combine),
+             one antilog lookup per coefficient
     solve    CauchyMatrix.solve_combination of a square subsystem (the
              closed-form burst solve)
 
@@ -80,7 +80,7 @@ def kernels(fld: GF, size: dict, seed: int) -> dict:
     mul = fld.mul
     return {
         "mul": lambda: [mul(a, b) for a, b in pairs],
-        "combine": lambda: mat.combine(enumerate(vec), cols),
+        "combine": lambda: mat.combine(mat.terms(range(dim), vec), cols),
         "solve": lambda: mat.solve_combination(rows, sub_cols, rhs),
     }
 

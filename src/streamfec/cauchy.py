@@ -6,17 +6,21 @@ equations can be solved for any equally sized subset of unknowns. Such a
 submatrix is itself a Cauchy matrix, whose inverse has a closed form
 (Schechter, 1959), so `CauchyMatrix.solve_combination` inverts `combine`
 in O(n^2) without building the matrix. Both work in the log domain on the
-field's tables, one antilog lookup per coefficient. The generic `solve`
-runs on the elimination core in `streamfec.linear` and is kept as the
-reference the closed form is tested against.
+field's tables. `terms` turns a sparse row vector into (x point, log)
+pairs once, and `combine` then costs one antilog lookup per coefficient
+and column. The solve builds one n x n block of logs, reads each pair of
+its points once, and reads the block again for its final product. The
+generic `solve` runs on the elimination core in `streamfec.linear` and is
+kept as the reference the closed form is tested against.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import add
-from typing import Iterable, Sequence
+from itertools import zip_longest
+from operator import add, sub
+from typing import Sequence
 
 from .gf import GF
 from .linear import IncrementalDecoder, InconsistentSystemError
@@ -54,36 +58,58 @@ class CauchyMatrix:
         return self.field.inv(self.xs[i] ^ self.ys[j])
 
     def _check_indices(self, rows: Sequence[int], cols: Sequence[int]) -> None:
+        dim = self.dim
         for idx in (*rows, *cols):
-            if not 0 <= idx < self.dim:
-                raise IndexError(f"index {idx} outside [0, {self.dim - 1}]")
+            if not 0 <= idx < dim:
+                raise IndexError(f"index {idx} outside [0, {dim - 1}]")
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[int]]:
         self._check_indices(rows, cols)
         return [[self.entry(i, j) for j in cols] for i in rows]
 
-    def combine(self, pairs: Iterable[tuple[int, int]], cols: Sequence[int]) -> list[int]:
-        """Sparse row vector times the matrix, restricted to `cols`.
-
-        `pairs` holds (row_index, value) entries; zero values are skipped.
-        """
+    def terms(self, rows: Sequence[int], values: Sequence[int]) -> list[tuple[int, int]]:
+        """The sparse row vector with values[i] at row rows[i], as `combine`
+        reads it: one (x point, span + log value) pair per nonzero value,
+        span = order - 1. Zero values have no log and are left out."""
         log = self.field.log
         span = self.field.order - 1
-        terms = [(self.xs[r], span + log[val]) for r, val in pairs if val]
-        return self._log_dot(terms, [self.ys[c] for c in cols])
+        xs = self.xs
+        return [(xs[r], span + log[v]) for r, v in zip(rows, values) if v]
+
+    def combine(self, terms: Sequence[tuple[int, int]], cols: Sequence[int]) -> list[int]:
+        """Row vector times the matrix, restricted to `cols`.
+
+        The vector comes as `terms`, the pairs (p, l) that `terms()` builds;
+        column c gets the sum over them of g^l / (p + y_c), one antilog
+        lookup each: l lies in [span, 2 * span) and log(p + y_c) < span, so
+        the index stays inside the doubled antilog table.
+        """
+        exp, log = self.field.exp, self.field.log
+        ys = self.ys
+        out = []
+        for c in cols:
+            z = ys[c]
+            acc = 0
+            for p, l in terms:
+                acc ^= exp[l - log[p ^ z]]
+            out.append(acc)
+        return out
 
     def solve_combination(
         self, rows: Sequence[int], cols: Sequence[int], rhs: Sequence[int]
     ) -> list[int]:
-        """The x over `rows` with combine(zip(rows, x), cols) == rhs.
+        """The x over `rows` with combine(terms(rows, x), cols) == rhs.
 
         The submatrix C[a][b] = 1 / (u_a + v_b), u = xs over rows and v = ys
         over cols, is Cauchy, so over GF(2^e)
         (C^-1)[b][a] = A_a * B_b / (u_a + v_b) with
         A_a = prod_k (u_a + v_k) / prod_{k != a} (u_a + u_k) and
         B_b = prod_k (u_k + v_b) / prod_{k != b} (v_b + v_k).
-        Hence x_a = A_a * sum_b rhs_b * B_b / (u_a + v_b). A and B are sums
-        of logs and each term is one antilog lookup: O(n^2), no matrix.
+        Hence x_a = A_a * sum_b rhs_b * B_b / (u_a + v_b). In the log domain
+        the block L[a][b] = log(u_a + v_b) is built once: its row sums give
+        the numerators of A, its column sums those of B, and the final sum
+        reads it again, one antilog lookup per term. The denominators visit
+        each pair of distinct points once. O(n^2), no matrix.
 
         Raises ValueError unless rows, cols and rhs have one length and the
         indices within rows and within cols are distinct, and IndexError
@@ -101,36 +127,40 @@ class CauchyMatrix:
         span = self.field.order - 1
         us = [self.xs[r] for r in rows]
         vs = [self.ys[c] for c in cols]
-        # one pass over log(u_a + v_b): row sums go to A, column sums to B
-        log_a = []
-        col_sums = [0] * n
-        for u in us:
-            row = [log[u ^ v] for v in vs]
-            col_sums = list(map(add, col_sums, row))
-            log_a.append((sum(row) - sum([log[u ^ w] for w in us if w != u])) % span)
-        terms = [
-            (v, span + (log[val] + cs - sum([log[v ^ w] for w in vs if w != v])) % span)
-            for v, val, cs in zip(vs, rhs, col_sums)
+        block = [[log[u ^ v] for v in vs] for u in us]
+        log_a = list(map(sub, map(sum, block), _pair_log_sums(us, log)))
+        # g^c / (u_a + v_b) for c in [span, 2 * span) is exp[c - L[a][b]]
+        coeffs = [
+            span + (log[val] + sum(col) - pairs) % span
+            for val, col, pairs in zip(rhs, zip(*block), _pair_log_sums(vs, log))
             if val
         ]
-        sums = self._log_dot(terms, us)
-        return [exp[la + log[s]] if s else 0 for la, s in zip(log_a, sums)]
-
-    def _log_dot(self, terms: list[tuple[int, int]], points: Sequence[int]) -> list[int]:
-        """For each point z, the sum over (p, l) in `terms` of g^l / (p + z).
-
-        Each l lies in [span, 2 * span), span = order - 1, so subtracting
-        log(p + z) < span leaves an index inside the doubled antilog table,
-        and every term is one lookup. p + z must never be 0.
-        """
-        exp, log = self.field.exp, self.field.log
+        if len(coeffs) < n:  # a zero rhs_b adds nothing: drop column b
+            live = [b for b, val in enumerate(rhs) if val]
+            block = [[row[b] for b in live] for row in block]
         out = []
-        for z in points:
-            acc = 0
-            for p, l in terms:
-                acc ^= exp[l - log[p ^ z]]
-            out.append(acc)
+        for la, row in zip(log_a, block):
+            s = 0
+            for c, l in zip(coeffs, row):
+                s ^= exp[c - l]
+            out.append(exp[la % span + log[s]] if s else 0)
         return out
+
+
+def _pair_log_sums(points: Sequence[int], log: Sequence[int]) -> list[int]:
+    """For each point, the sum over every other point w of log(point + w).
+
+    Each unordered pair is looked up once, in the lower triangle
+    low[a][k] = log(points[a] + points[k]), k < a: point a's sum is row a
+    plus column a. A point is never paired with itself, so log[0] is never
+    read.
+    """
+    if len(points) < 2:  # no pair: skip the fixed cost, which dominates tiny solves
+        return [0] * len(points)
+    low = [[log[p ^ w] for w in points[:a]] for a, p in enumerate(points)]
+    cols = list(map(sum, zip_longest(*low, fillvalue=0)))
+    cols.append(0)  # the last point heads no column
+    return list(map(add, map(sum, low), cols))
 
 
 def build_cauchy(dim: int, fld: GF, seed: int = 0) -> CauchyMatrix:

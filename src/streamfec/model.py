@@ -123,14 +123,16 @@ class SizeSequence:
 def terminate_sizes(raw: Sequence[int], tau: int, m: int) -> SizeSequence:
     """Append tau zero-size packets so the stream tail is flushable.
 
-    Idempotent: a sequence whose final tau entries are already zero (and
-    which is at least tau long) is returned unchanged.
+    A sequence that already ends in tau zeros after at least one more slot
+    is returned unchanged, so terminating a non-empty sequence twice is
+    terminating it once. A sequence of exactly tau zeros is not terminated:
+    it gets its tail too, or it would leave t = tau - 1 < tau.
     """
     raw = [int(k) for k in raw]
     for k in raw:
         if not 0 <= k <= m:
             raise ValueError(f"message size {k} outside [0, {m}]")
-    if len(raw) >= tau and all(k == 0 for k in raw[-tau:]):
+    if len(raw) > tau and all(k == 0 for k in raw[-tau:]):
         return SizeSequence(raw)
     try:
         tail = [0] * tau

@@ -15,23 +15,28 @@ Layout per slot i:
 
 where combine() takes columns ((i mod tau) * m ..) of a (tau*m) x (tau*m)
 Cauchy matrix against the heads laid out at block offsets ((j mod tau) * m).
-The encoder and both decode phases compute combine() with `window_parity`.
-The layout depends only on the sizes, which the receiver holds as side
-information, so one layout per stream serves every decode.
+Each head enters combine() as its log-domain terms (`CauchyMatrix.terms`),
+built once per slot and read by every window that contains the slot: the
+encoder keeps them in its tau-slot ring, and the decoder builds them on
+first use, only for the slots a burst's windows reach. The layout depends
+only on the sizes, which the receiver holds as side information, so one
+layout per stream serves every decode.
 
 A burst erasing slots s..e is undone in two phases: first the erased heads
 are solved jointly from the parity columns of slots e+1..s+tau-1 (any square
 Cauchy subsystem is invertible; we take the first sum-of-head-sizes columns
 in slot order). That subsystem is itself a Cauchy matrix, so
 `CauchyMatrix.solve_combination` inverts it in closed form, in O(n^2) for n
-erased head symbols, without building it. Then each erased tail falls out
-of its own parity segment tau slots after its slot.
+erased head symbols, from one n x n block of logs and without building it.
+Then each erased tail falls out of its own parity segment tau slots after
+its slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Sequence
 
 from .cauchy import CauchyMatrix
 from .channel import erased_runs, is_admissible
@@ -136,30 +141,13 @@ def block(p: CodeParams, j: int, n: int) -> range:
     return range(base, base + n)
 
 
-def window_parity(
-    matrix: CauchyMatrix,
-    p: CodeParams,
-    j: int,
-    n: int,
-    head_of: Callable[[int], Sequence[int]],
-) -> list[int]:
-    """First n parity symbols of slot j without the tail they carry: the
-    Cauchy combination of the heads of slots j-tau..j-1 over slot j's columns.
-
-    `head_of(l)` gives the head of slot l; an empty one leaves the slot out.
-    """
-    pairs = []
-    for l in range(j - p.tau, j):
-        head = head_of(l)
-        if head:
-            pairs.extend((r, v) for r, v in zip(block(p, l, len(head)), head) if v)
-    return matrix.combine(pairs, block(p, j, n))
-
-
 class VgmsEncoder:
     """Slot-ordered online encoder; feed packets for slots 0, 1, .. in order.
 
-    Memory holds the pieces of the last tau slots, Theta(tau * m) symbols.
+    Memory holds the pieces of the last tau slots, Theta(tau * m) symbols,
+    in a ring indexed by slot mod tau. Each head is kept as its log-domain
+    terms (`CauchyMatrix.terms`), built once when its slot is encoded and
+    read by the tau windows that contain it.
     """
 
     def __init__(self, p: CodeParams, matrix: CauchyMatrix) -> None:
@@ -167,9 +155,10 @@ class VgmsEncoder:
         _check_matrix(p, matrix)
         self.params = p
         self.matrix = matrix
-        # heads and tails of the last tau slots by slot; slots before 0 are empty
-        self._heads: dict[int, list[int]] = {j: [] for j in range(-p.tau, 0)}
-        self._tails: dict[int, list[int]] = {j: [] for j in range(-p.tau, 0)}
+        # head terms and tails of slots i-tau..i-1 at index slot mod tau;
+        # slots before 0 are empty
+        self._terms: list[list[tuple[int, int]]] = [[] for _ in range(p.tau)]
+        self._tails: list[list[int]] = [[] for _ in range(p.tau)]
 
     @property
     def next_slot(self) -> int:
@@ -181,17 +170,17 @@ class VgmsEncoder:
         if not in_field(self.matrix.field, symbols):
             raise ValueError(f"message at slot {i} has an out-of-field symbol")
         head_n = self.layout.split(len(symbols))
-        oldest_tail = self._tails.pop(i - p.tau)  # it rides in this slot's parity
+        ring = i % p.tau  # slot i - tau's place, whose tail rides in this parity
 
         parity: list[int] = []
         psz = self.layout.parity_sizes[i]
         if psz:
-            prime = window_parity(self.matrix, p, i, psz, self._heads.__getitem__)
-            parity = [u ^ c for u, c in zip(oldest_tail, prime)]
+            window = list(chain.from_iterable(self._terms))
+            prime = self.matrix.combine(window, block(p, i, psz))
+            parity = [u ^ c for u, c in zip(self._tails[ring], prime)]
 
-        del self._heads[i - p.tau]
-        self._heads[i] = list(symbols[:head_n])
-        self._tails[i] = list(symbols[head_n:])
+        self._terms[ring] = self.matrix.terms(block(p, i, head_n), symbols[:head_n])
+        self._tails[ring] = symbols[head_n:]
         return list(symbols) + parity
 
 
@@ -230,10 +219,13 @@ def decode_stream(
     known tails and heads out of the parity segments right after the burst,
     then solve one square Cauchy system for all erased heads jointly, in
     closed form. Phase 2: recover each erased tail from the parity segment
-    exactly tau slots after its slot. Raises ValueError for malformed input
-    (a wrong matrix size, list or packet length, an out-of-field symbol) or
-    an inadmissible pattern, and DecodeFailure if recovery is impossible,
-    which would mean a construction bug.
+    exactly tau slots after its slot. A received slot's message is a fresh
+    slice of its packet; its head and tail are read only when a burst's
+    window needs them, and each head's log-domain terms are built at most
+    once per call. Raises ValueError for malformed input (a wrong matrix
+    size, list or packet length, an out-of-field symbol) or an inadmissible
+    pattern, and DecodeFailure if recovery is impossible, which would mean
+    a construction bug.
     """
     p = layout.params
     _check_matrix(p, matrix)
@@ -246,29 +238,26 @@ def decode_stream(
     if not is_admissible(erased, p):
         raise ValueError("loss pattern is not admissible for this channel")
 
-    k_sizes, head_sizes = layout.k_sizes, layout.head_sizes
-    heads: list[list[int] | None] = [None] * (t + 1)
-    tails: list[list[int] | None] = [None] * (t + 1)
+    k_sizes, head_sizes, tail_sizes = layout.k_sizes, layout.head_sizes, layout.tail_sizes
+    parity_sizes = layout.parity_sizes
+    fld = matrix.field
+    messages: list[list[int] | None] = [None] * (t + 1)
     times: list[int | None] = [None] * (t + 1)
-
     for i, pkt in enumerate(received):
         if pkt is None:
             continue
-        if len(pkt) != layout.n_size(i):
+        if len(pkt) != k_sizes[i] + parity_sizes[i]:
             raise ValueError(f"packet at slot {i} has unexpected length")
-        if not in_field(matrix.field, pkt):
+        if not in_field(fld, pkt):
             raise ValueError(f"packet at slot {i} has an out-of-field symbol")
-        heads[i] = list(pkt[: head_sizes[i]])
-        tails[i] = list(pkt[head_sizes[i] : k_sizes[i]])
+        msg = pkt[: k_sizes[i]]
+        messages[i] = msg if type(msg) is list else list(msg)
         times[i] = i
 
-    def known_head(l: int) -> list[int]:
-        if l < 0:
-            return []
-        hv = heads[l]
-        if hv is None:
-            raise DecodeFailure(f"head of slot {l} unexpectedly unknown")
-        return hv
+    # per slot: head terms once built, and an erased slot's recovered pieces
+    terms: list[list[tuple[int, int]] | None] = [None] * (t + 1)
+    heads: list[list[int] | None] = [None] * (t + 1)
+    tails: list[list[int] | None] = [None] * (t + 1)
 
     for run_start, run_end in erased_runs(erased):
         burst = range(run_start, run_end + 1)
@@ -276,7 +265,7 @@ def decode_stream(
         total_heads = sum(head_sizes[l] for l in unknown)
         head_time: int | None = None
         for l in burst:  # empty until solved, so phase 1 leaves them out
-            heads[l] = []
+            terms[l] = []
 
         if total_heads:
             rows = [r for l in unknown for r in block(p, l, head_sizes[l])]
@@ -288,28 +277,34 @@ def decode_stream(
                     raise DecodeFailure(
                         f"parity shortfall recovering burst {run_start}..{run_end}"
                     )
-                psz = layout.parity_sizes[j]
+                psz = parity_sizes[j]
                 if psz:
                     pkt = received[j]
                     if pkt is None:
                         raise DecodeFailure(f"parity slot {j} was erased")
-                    prev_tail = tails[j - tau]
+                    q = j - tau  # received, or recovered with an earlier burst
+                    prev_tail = tails[q]
+                    if received[q] is not None:
+                        prev_tail = received[q][head_sizes[q] : k_sizes[q]]
                     if prev_tail is None or len(prev_tail) != psz:
-                        raise DecodeFailure(f"tail of slot {j - tau} unknown")
+                        raise DecodeFailure(f"tail of slot {q} unknown")
                     take = min(psz, total_heads - len(cols))
-                    known = window_parity(matrix, p, j, take, known_head)
-                    parity = pkt[k_sizes[j] :]
-                    rhs.extend(parity[o] ^ prev_tail[o] ^ known[o] for o in range(take))
+                    known = _window_parity(j, take, layout, matrix, received, terms)
+                    parity = pkt[k_sizes[j] : k_sizes[j] + take]
+                    rhs.extend(a ^ u ^ c for a, u, c in zip(parity, prev_tail, known))
                     cols.extend(block(p, j, take))
                     head_time = j
                 j += 1
 
-            solution = iter(matrix.solve_combination(rows, cols, rhs))
+            solution = matrix.solve_combination(rows, cols, rhs)
+            offset = 0
             for l in unknown:
-                heads[l] = [next(solution) for _ in range(head_sizes[l])]
+                head = heads[l] = solution[offset : offset + head_sizes[l]]
+                terms[l] = matrix.terms(block(p, l, head_sizes[l]), head)
+                offset += head_sizes[l]
 
         for l in burst:
-            tail_n = layout.tail_sizes[l]
+            tail_n = tail_sizes[l]
             if k_sizes[l] == 0:
                 tails[l] = []
                 times[l] = l  # termination: nothing to decode
@@ -317,9 +312,9 @@ def decode_stream(
                 j2 = l + tau
                 if j2 > t or received[j2] is None:
                     raise DecodeFailure(f"parity slot {j2} unavailable for slot {l}")
-                if layout.parity_sizes[j2] != tail_n:
+                if parity_sizes[j2] != tail_n:
                     raise DecodeFailure(f"parity slot {j2} misses the tail of {l}")
-                prime = window_parity(matrix, p, j2, tail_n, known_head)
+                prime = _window_parity(j2, tail_n, layout, matrix, received, terms)
                 parity = received[j2][k_sizes[j2] :]
                 tails[l] = [u ^ c for u, c in zip(parity, prime)]
                 times[l] = j2
@@ -328,11 +323,38 @@ def decode_stream(
                 if head_time is None:
                     raise DecodeFailure(f"no head decode time for slot {l}")
                 times[l] = head_time
+            messages[l] = (heads[l] or []) + tails[l]
 
-    messages = []
     for i in range(t + 1):
-        h, u = heads[i], tails[i]
-        if h is None or u is None:
+        if messages[i] is None:
             raise DecodeFailure(f"slot {i} was never recovered")
-        messages.append(h + u)
     return DecodeResult(messages, times)
+
+
+def _window_parity(
+    j: int,
+    n: int,
+    layout: VgmsLayout,
+    matrix: CauchyMatrix,
+    received: Sequence[Sequence[int] | None],
+    terms: list[list[tuple[int, int]] | None],
+) -> list[int]:
+    """First n parity symbols of slot j without the tail they carry: the
+    Cauchy combination of the heads of slots j-tau..j-1 over slot j's columns.
+
+    `terms[l]` holds slot l's head terms once built. A received slot's are
+    built from its packet on first use; an erased slot's are set when its
+    burst is solved, and are empty while it is being solved.
+    """
+    p = layout.params
+    window: list[tuple[int, int]] = []
+    for l in range(max(j - p.tau, 0), j):
+        slot_terms = terms[l]
+        if slot_terms is None:
+            pkt = received[l]
+            if pkt is None:
+                raise DecodeFailure(f"head of slot {l} unexpectedly unknown")
+            head_n = layout.head_sizes[l]
+            slot_terms = terms[l] = matrix.terms(block(p, l, head_n), pkt[:head_n])
+        window += slot_terms
+    return matrix.combine(window, block(p, j, n))

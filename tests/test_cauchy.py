@@ -174,7 +174,7 @@ def test_combine_matches_dense_product():
         for size in (1, 3, 17):
             cols = rng.sample(range(40), size)
             dense = vec_mat(fld, vec, a.submatrix(range(40), cols))
-            sparse = a.combine([(i, v) for i, v in enumerate(vec)], cols)
+            sparse = a.combine(a.terms(range(40), vec), cols)
             assert dense == sparse
 
 
@@ -197,7 +197,7 @@ def test_solve_combination_matches_elimination(degree, n):
     x = a.solve_combination(rows, cols, rhs)
     transposed = [list(col) for col in zip(*a.submatrix(rows, cols))]
     assert x == solve(fld, transposed, rhs)
-    assert a.combine(zip(rows, x), cols) == rhs
+    assert a.combine(a.terms(rows, x), cols) == rhs
     assert a.solve_combination(rows, cols, [0] * n) == [0] * n
 
 

@@ -107,6 +107,16 @@ def test_encode_of_a_stream_without_symbols_has_no_rate(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sizes", ["0", "0,0"])
+def test_one_zero_slot_per_tau_has_no_rate_either(capsys, sizes):
+    # "0" at tau = 1 used to count as already terminated, leaving t = 0 < tau
+    code, _, err = run_cli(
+        capsys, "encode", "--codec", "vgms", "--tau", "1", "--b", "1", "--sizes", sizes
+    )
+    assert code == 2
+    assert err.strip().splitlines()[-1] == "error: rate undefined: no channel symbols were sent"
+
+
 def test_simulate_rejects_inadmissible_pattern(capsys):
     code, _, err = run_cli(
         capsys,

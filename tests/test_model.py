@@ -67,6 +67,15 @@ def test_terminate_idempotent():
     assert once == again
 
 
+@pytest.mark.parametrize("raw,tau", [([0], 1), ([0, 0], 4), ([0, 0, 0, 0], 4), ([2, 0, 0, 0, 0], 4)])
+def test_terminate_needs_a_slot_before_the_zero_tail(raw, tau):
+    # exactly tau zeros is a message slot short of a terminated stream
+    seq = terminate_sizes(raw, tau, 3)
+    assert seq.t >= tau and seq.sizes[-tau:] == (0,) * tau
+    assert seq.sizes[: len(raw)] == tuple(raw)
+    assert terminate_sizes(seq.sizes, tau, 3) == seq
+
+
 def test_out_of_range_reads_are_zero():
     seq = SizeSequence([3, 2, 1])
     assert seq.size(-1) == 0

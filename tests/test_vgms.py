@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from streamfec.cauchy import build_cauchy
+from streamfec.cauchy import build_cauchy, vec_mat
 from streamfec.channel import all_patterns, apply_pattern, single_burst_patterns
 from streamfec.gf import GF
 from streamfec.linear import IncrementalDecoder
@@ -19,6 +19,7 @@ from streamfec.model import (
 from streamfec import vgms
 from streamfec.vgms import (
     VgmsEncoder,
+    block,
     decode_stream,
     encode_stream,
     packet_layout,
@@ -129,6 +130,69 @@ def test_parity_equals_tail_when_heads_are_zero():
         if psz:
             tail = payload[i - 4][layout.head_sizes[i - 4] :]
             assert stream.packets[i][seq.size(i) :] == tail
+
+
+def reference_window_parity(matrix, p, j, n, heads):
+    """First n parity symbols of slot j without its tail, from the raw heads
+    of slots j-tau..j-1 by the scalar `vec_mat` over `submatrix`: the
+    reference for the log-domain terms the encoder keeps per slot."""
+    rows, values = [], []
+    for l in range(max(j - p.tau, 0), j):
+        rows.extend(block(p, l, len(heads[l])))
+        values.extend(heads[l])
+    if not rows:
+        return [0] * n
+    return vec_mat(matrix.field, values, matrix.submatrix(rows, block(p, j, n)))
+
+
+@pytest.mark.parametrize("degree", [8, 16])
+def test_encoder_parity_matches_reference_window_product(degree):
+    # every slot of random streams, with zero head symbols, empty heads and
+    # empty messages among them; each decodes every single burst too
+    fld = GF(degree)
+    rng = random.Random(degree)
+    seen = dict.fromkeys(("zero head symbol", "empty head", "empty message"), False)
+    for tau, b, m in ((2, 1, 3), (3, 1, 4), (4, 2, 3), (5, 3, 2)):
+        sizes = [rng.choice((0, m, rng.randint(0, m))) for _ in range(12)]
+        seq = terminate_sizes(sizes, tau, m)
+        p = make_params(tau, b, m=m, t=seq.t)
+        matrix = build_cauchy(p.tau * p.m, fld, rng.randrange(100))
+        payload = [[rng.choice((0, rng.randrange(fld.order))) for _ in range(k)] for k in seq]
+        stream = encode_stream(p, matrix, payload)
+        layout = stream.layout
+        heads = [msg[:v] for msg, v in zip(payload, layout.head_sizes)]
+        seen["zero head symbol"] |= any(0 in head for head in heads)
+        seen["empty head"] |= any(k and not v for k, v in zip(seq, layout.head_sizes))
+        seen["empty message"] |= 0 in sizes
+        for i, pkt in enumerate(stream.packets):
+            k, psz = seq.size(i), layout.parity_sizes[i]
+            tail = payload[i - tau][layout.head_sizes[i - tau] :] if psz else []
+            prime = reference_window_parity(matrix, p, i, psz, heads)
+            assert pkt[k:] == [u ^ c for u, c in zip(tail, prime)], (degree, tau, i)
+        for pattern in single_burst_patterns(p):
+            res = decode_stream(layout, matrix, apply_pattern(pattern, stream.packets))
+            assert res.messages == payload, (degree, tau, pattern)
+    assert all(seen.values()), seen
+
+
+def test_decoded_messages_are_fresh_lists():
+    # packets given as tuples still decode to lists, and no returned
+    # message shares storage with a received packet
+    p, fld, seq, matrix = ref_setup()
+    payload = random_payload(seq, fld, 7)
+    stream = encode_stream(p, matrix, payload)
+    layout = packet_layout(seq, p)
+    for pattern in ((), (0, 1), (2, 3), (4,)):
+        as_tuples = apply_pattern(pattern, [tuple(pkt) for pkt in stream.packets])
+        res = decode_stream(layout, matrix, as_tuples)
+        assert all(type(msg) is list for msg in res.messages), pattern
+        assert res.messages == payload, pattern
+        received = apply_pattern(pattern, [list(pkt) for pkt in stream.packets])
+        copies = [None if pkt is None else list(pkt) for pkt in received]
+        for msg in decode_stream(layout, matrix, received).messages:
+            msg.append(0)
+            msg[:1] = [1]
+        assert received == copies, pattern
 
 
 def test_encoder_rejects_oversized_packet():
