@@ -34,19 +34,15 @@ line of standard output is the JSON result.
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import statistics
 import sys
-import time
 from operator import add
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
-from gf_tables import environment, time_call  # noqa: E402
+from gf_tables import before_after_main, run_sides  # noqa: E402
 from streamfec import vgms  # noqa: E402
 from streamfec.cauchy import build_cauchy  # noqa: E402
 from streamfec.channel import apply_pattern, erased_runs, is_admissible  # noqa: E402
@@ -54,7 +50,6 @@ from streamfec.gf import GF, in_field  # noqa: E402
 from streamfec.model import make_params, terminate_sizes  # noqa: E402
 from streamfec.vgms import DecodeFailure, DecodeResult, block  # noqa: E402
 
-SIDES = ("before", "after")
 # vgms-bulk's point: field degree, tau, b, m and message count
 POINT = dict(degree=16, tau=16, b=4, m=32, messages=100)
 # rounds, calls per sample, solve sizes, bursts decoded per sample
@@ -255,53 +250,11 @@ def cases(size: dict) -> dict:
 
 
 def run(size: dict) -> list[dict]:
-    calls = cases(size)
-    per_call = {name: 1 for name in calls}
-    per_call["burst decode"] = size["bursts"]
-    samples = {(name, side): [] for name in calls for side in SIDES}
-    for r in range(size["rounds"]):
-        order = SIDES if r % 2 == 0 else SIDES[::-1]
-        for name, sides in calls.items():
-            for side in order:
-                samples[name, side].append(time_call(sides[side], size["calls"]) / per_call[name])
-    out = []
-    for name in calls:
-        med = {side: statistics.median(samples[name, side]) for side in SIDES}
-        out.append({
-            "case": name,
-            "before_ms": round(med["before"] * 1e3, 3),
-            "after_ms": round(med["after"] * 1e3, 3),
-            "after_over_before": round(med["after"] / med["before"], 3),
-        })
-    return out
+    return run_sides(cases(size), size, {"burst decode": size["bursts"]})
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--quick", action="store_true", help="smoke run, under 2 s")
-    ap.add_argument("--out", type=Path, default=None,
-                    help="JSON file to write (default: bench/BENCH_decode_kernels.json, none with --quick)")
-    args = ap.parse_args(argv)
-    size = QUICK if args.quick else FULL
-    t0 = time.perf_counter()
-    results = run(size)
-    doc = {
-        "bench": "decode_kernels",
-        "environment": environment(),
-        "quick": args.quick,
-        "point": POINT,
-        "size": size,
-        "results": results,
-        "wall_s": round(time.perf_counter() - t0, 2),
-    }
-    for row in results:
-        print(f"{row['case']:16s} before {row['before_ms']:9.3f} ms  after {row['after_ms']:9.3f} ms"
-              f"  after/before {row['after_over_before']:.3f}")
-    out = args.out if args.out or args.quick else HERE / "BENCH_decode_kernels.json"
-    if out:
-        out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(json.dumps(doc))
-    return 0
+    return before_after_main(argv, "decode_kernels", __doc__, FULL, QUICK, run, {"point": POINT})
 
 
 if __name__ == "__main__":

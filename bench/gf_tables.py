@@ -26,6 +26,11 @@ median time per call of each container and the ratio array / list; below 1
 the arrays are faster. `gf.COMPACT_TABLES_FROM_DEGREE` is set from it.
 Run from the root of a source checkout; the package is imported from
 `src/`. The last line of standard output is the JSON result.
+
+The module also holds what the before/after layer benches
+(`bench/startup.py`, `bench/decode_kernels.py`) share: `time_call`,
+`environment`, the interleaved timing loop `run_sides` and the command
+line `before_after_main`.
 """
 
 from __future__ import annotations
@@ -105,6 +110,68 @@ def environment() -> dict:
         "nproc": len(os.sched_getaffinity(0)),
         "cpu": cpu,
     }
+
+
+SIDES = ("before", "after")
+
+
+def run_sides(calls: dict, size: dict, per_call: dict | None = None) -> list[dict]:
+    """The before/after benches' timing loop: `calls` maps a case name to
+    {side: zero-argument call}. Every round times each case on both sides,
+    in alternating order; a case named in `per_call` makes that many calls
+    of its own per call. Returns the median time per call of each side and
+    the ratio after / before, per case."""
+    per_call = per_call or {}
+    samples = {(name, side): [] for name in calls for side in SIDES}
+    for r in range(size["rounds"]):
+        order = SIDES if r % 2 == 0 else SIDES[::-1]
+        for name, sides in calls.items():
+            for side in order:
+                sample = time_call(sides[side], size["calls"]) / per_call.get(name, 1)
+                samples[name, side].append(sample)
+    out = []
+    for name in calls:
+        med = {side: statistics.median(samples[name, side]) for side in SIDES}
+        out.append({
+            "case": name,
+            "before_ms": round(med["before"] * 1e3, 3),
+            "after_ms": round(med["after"] * 1e3, 3),
+            "after_over_before": round(med["after"] / med["before"], 3),
+        })
+    return out
+
+
+def before_after_main(
+    argv: list[str] | None, bench: str, doc: str, full: dict, quick: dict, run, extra: dict
+) -> int:
+    """The before/after benches' command line: `run(size)` gives the rows
+    of `run_sides`, and `extra` is put in the JSON result before "size"."""
+    ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
+    ap.add_argument("--quick", action="store_true", help="smoke run, under 2 s")
+    ap.add_argument("--out", type=Path, default=None,
+                    help=f"JSON file to write (default: bench/BENCH_{bench}.json, none with --quick)")
+    args = ap.parse_args(argv)
+    size = quick if args.quick else full
+    t0 = time.perf_counter()
+    results = run(size)
+    result = {
+        "bench": bench,
+        "environment": environment(),
+        "quick": args.quick,
+        **extra,
+        "size": size,
+        "results": results,
+        "wall_s": round(time.perf_counter() - t0, 2),
+    }
+    width = max(len(row["case"]) for row in results) + 1
+    for row in results:
+        print(f"{row['case']:{width}s} before {row['before_ms']:9.3f} ms  after {row['after_ms']:9.3f} ms"
+              f"  after/before {row['after_over_before']:.3f}")
+    out = args.out if args.out or args.quick else HERE / f"BENCH_{bench}.json"
+    if out:
+        out.write_text(json.dumps(result, indent=1) + "\n")
+    print(json.dumps(result))
+    return 0
 
 
 def run(size: dict, seed: int) -> list[dict]:

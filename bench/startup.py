@@ -28,12 +28,8 @@ budget from `tests/`. The last line of standard output is the JSON result.
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import statistics
 import sys
-import time
 from array import array
 from pathlib import Path
 
@@ -41,14 +37,13 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 sys.path.insert(0, str(HERE.parent / "tests"))
 
-from gf_tables import environment, time_call  # noqa: E402
+from gf_tables import before_after_main, run_sides  # noqa: E402
 from test_vgms import slice_sum_budget  # noqa: E402
 from streamfec import vgms  # noqa: E402
 from streamfec.gf import COMPACT_TABLES_FROM_DEGREE, GF  # noqa: E402
 from streamfec.model import make_params, terminate_sizes  # noqa: E402
 
 DEGREES = (8, 12, 16)
-SIDES = ("before", "after")
 # rounds, calls per sample, and the layout streams: count, messages, tau, b, m
 FULL = dict(rounds=15, calls=3, streams=16, messages=100, tau=16, b=4, m=32)
 QUICK = dict(rounds=2, calls=1, streams=2, messages=20, tau=16, b=4, m=32)
@@ -129,50 +124,11 @@ def cases(size: dict) -> dict:
 
 
 def run(size: dict) -> list[dict]:
-    calls = cases(size)
-    samples = {(name, side): [] for name in calls for side in SIDES}
-    for r in range(size["rounds"]):
-        order = SIDES if r % 2 == 0 else SIDES[::-1]
-        for name, sides in calls.items():
-            for side in order:
-                samples[name, side].append(time_call(sides[side], size["calls"]))
-    out = []
-    for name in calls:
-        med = {side: statistics.median(samples[name, side]) for side in SIDES}
-        out.append({
-            "case": name,
-            "before_ms": round(med["before"] * 1e3, 3),
-            "after_ms": round(med["after"] * 1e3, 3),
-            "after_over_before": round(med["after"] / med["before"], 3),
-        })
-    return out
+    return run_sides(cases(size), size)
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--quick", action="store_true", help="smoke run, under 2 s")
-    ap.add_argument("--out", type=Path, default=None,
-                    help="JSON file to write (default: bench/BENCH_startup.json, none with --quick)")
-    args = ap.parse_args(argv)
-    size = QUICK if args.quick else FULL
-    t0 = time.perf_counter()
-    results = run(size)
-    doc = {
-        "bench": "startup",
-        "environment": environment(),
-        "quick": args.quick,
-        "size": size,
-        "results": results,
-        "wall_s": round(time.perf_counter() - t0, 2),
-    }
-    for row in results:
-        print(f"{row['case']:14s} before {row['before_ms']:9.3f} ms  after {row['after_ms']:9.3f} ms"
-              f"  after/before {row['after_over_before']:.3f}")
-    out = args.out if args.out or args.quick else HERE / "BENCH_startup.json"
-    if out:
-        out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(json.dumps(doc))
-    return 0
+    return before_after_main(argv, "startup", __doc__, FULL, QUICK, run, {})
 
 
 if __name__ == "__main__":

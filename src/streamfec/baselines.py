@@ -1,6 +1,11 @@
 """Baseline codecs: diagonal interleaving, a verified short block code, and
 the six offline reference schemes used by the rate-gap experiments.
 
+This module is the one place that knows the regime partition
+(`classify_regime`) and the separation families' schemes: `LEMMA_SCHEMES`
+maps each family to its two scheme ids, `scheme_pair` builds both, and
+each `OfflineScheme` carries its own sequence and `d` rule.
+
 All of these are linear, so they share one representation: a LinearStream
 lists, for every channel symbol, its expansion over the flat message symbol
 vector. Encoding is evaluating the rows; decoding is incremental Gaussian
@@ -21,7 +26,7 @@ from .model import CodeParams, SizeSequence, require_valid, symbol_offsets, term
 Row = dict[int, int]  # flat message symbol index -> coefficient
 
 
-def row_add(fld: GF, a: Row, b: Row) -> Row:
+def row_add(a: Row, b: Row) -> Row:
     out = dict(a)
     for idx, c in b.items():
         v = out.get(idx, 0) ^ c
@@ -237,17 +242,39 @@ def build_block_code(
 
 
 # ---------------------------------------------------------------------------
-# Offline reference schemes (three lemma families, two size sequences each)
+# The regime partition, and the offline reference schemes of its three
+# separation families (two size sequences each)
 # ---------------------------------------------------------------------------
 
-SCHEME_IDS = (
-    "lemma1_seq1",
-    "lemma1_seq2",
-    "lemma2_seq1",
-    "lemma2_seq2",
-    "lemma3_seq1",
-    "lemma3_seq2",
-)
+REGIMES = ("regime1", "regime2", "conv1", "conv2", "conv3")
+
+
+def classify_regime(tau: int, b: int, tau_l: int) -> str:
+    """Which optimality regime, or which separation family, covers a tuple.
+
+    The two regimes are checked first; the remaining parameters split by
+    the relation of tau_l to tau - b and to b. Exactly one label applies.
+    """
+    if not 1 <= b <= tau or not 0 <= tau_l <= tau - b:
+        raise ValueError(f"invalid parameters (tau={tau}, b={b}, tau_l={tau_l})")
+    if tau_l == tau - b and tau % b == 0:
+        return "regime1"
+    if tau_l == 0:
+        return "regime2"
+    if tau_l == tau - b and tau_l >= b:
+        return "conv1"
+    if tau_l == tau - b:
+        return "conv2"
+    return "conv3"
+
+
+# each separation family's two reference schemes, variant 1 first
+LEMMA_SCHEMES = {
+    "conv1": ("lemma1_seq1", "lemma1_seq2"),
+    "conv2": ("lemma2_seq1", "lemma2_seq2"),
+    "conv3": ("lemma3_seq1", "lemma3_seq2"),
+}
+SCHEME_IDS = tuple(sid for pair in LEMMA_SCHEMES.values() for sid in pair)
 
 
 @dataclass(frozen=True)
@@ -262,9 +289,7 @@ class OfflineScheme:
 
     @property
     def lemma(self) -> str:
-        return {"lemma1": "conv1", "lemma2": "conv2", "lemma3": "conv3"}[
-            self.scheme_id.split("_")[0]
-        ]
+        return next(lemma for lemma, ids in LEMMA_SCHEMES.items() if self.scheme_id in ids)
 
     @property
     def variant(self) -> int:
@@ -278,37 +303,53 @@ class OfflineScheme:
     def e(self) -> int:
         return self.tau_l % self.b
 
+    @property
+    def d_step(self) -> int:
+        """What d must be a multiple of: a+1 for both lemma 1 schemes, 2 for
+        both lemma 2 schemes and for lemma 3's first (it sends halves)."""
+        if self.lemma == "conv1":
+            return self.a + 1
+        return 2 if self.lemma == "conv2" or self.variant == 1 else 1
+
+    @property
+    def sequence(self) -> SizeSequence:
+        """The terminated size sequence the scheme is defined on."""
+        raw = scheme_raw_sizes(self)
+        return terminate_sizes(raw, self.tau, max(raw))
+
 
 def check_lemma_params(lemma: str, tau: int, b: int, tau_l: int) -> None:
-    if not 1 <= b <= tau or not 0 <= tau_l <= tau - b:
-        raise ValueError("invalid (tau, b, tau_l)")
-    if lemma == "conv1":
-        if tau_l != tau - b or tau_l < b or tau % b == 0:
-            raise ValueError("conv1 needs tau_l = tau - b >= b and b not dividing tau")
-    elif lemma == "conv2":
-        if tau_l != tau - b or not 1 <= tau_l < b:
-            raise ValueError("conv2 needs 1 <= tau_l = tau - b < b")
-    elif lemma == "conv3":
-        if not 1 <= tau_l < tau - b:
-            raise ValueError("conv3 needs 1 <= tau_l < tau - b")
-    else:
+    if lemma not in LEMMA_SCHEMES:
         raise ValueError(f"unknown lemma {lemma!r}")
+    regime = classify_regime(tau, b, tau_l)
+    if regime != lemma:
+        raise ValueError(f"{lemma} does not cover tau={tau}, b={b}, tau_l={tau_l} ({regime})")
+
+
+def scheme_pair(
+    lemma: str, tau: int, b: int, tau_l: int, d: int
+) -> tuple[OfflineScheme, OfflineScheme]:
+    """A lemma's two reference schemes. The parameters must lie in the
+    lemma's family and d must be at least 1; `require_d_step` checks that
+    a scheme can also split d."""
+    check_lemma_params(lemma, tau, b, tau_l)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    first, second = (OfflineScheme(sid, tau, b, tau_l, d) for sid in LEMMA_SCHEMES[lemma])
+    return first, second
+
+
+def require_d_step(sch: OfflineScheme) -> OfflineScheme:
+    if sch.d % sch.d_step:
+        raise ValueError(f"{sch.scheme_id} needs d divisible by {sch.d_step}, got {sch.d}")
+    return sch
 
 
 def make_scheme(scheme_id: str, tau: int, b: int, tau_l: int, d: int) -> OfflineScheme:
     if scheme_id not in SCHEME_IDS:
         raise ValueError(f"unknown scheme {scheme_id!r}")
     sch = OfflineScheme(scheme_id, tau, b, tau_l, d)
-    check_lemma_params(sch.lemma, tau, b, tau_l)
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if sch.lemma == "conv1" and d % (sch.a + 1) != 0:
-        raise ValueError(f"conv1 needs d divisible by a+1 = {sch.a + 1}")
-    if sch.lemma == "conv2" and d % 2 != 0:
-        raise ValueError("conv2 needs even d")
-    if sch.lemma == "conv3" and sch.variant == 1 and d % 2 != 0:
-        raise ValueError("conv3 scheme 1 needs even d")
-    return sch
+    return require_d_step(scheme_pair(sch.lemma, tau, b, tau_l, d)[sch.variant - 1])
 
 
 def scheme_raw_sizes(sch: OfflineScheme) -> list[int]:
@@ -330,16 +371,8 @@ def lemma_sequences(
     lemma: str, tau: int, b: int, tau_l: int, d: int
 ) -> tuple[SizeSequence, SizeSequence]:
     """The prescribed pair of (terminated) size sequences for one lemma."""
-    check_lemma_params(lemma, tau, b, tau_l)
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    prefix = {"conv1": "lemma1", "conv2": "lemma2", "conv3": "lemma3"}[lemma]
-    out = []
-    for variant in (1, 2):
-        sch = OfflineScheme(f"{prefix}_seq{variant}", tau, b, tau_l, d)
-        raw = scheme_raw_sizes(sch)
-        out.append(terminate_sizes(raw, tau, max(raw)))
-    return out[0], out[1]
+    first, second = scheme_pair(lemma, tau, b, tau_l, d)
+    return first.sequence, second.sequence
 
 
 def _split_then_block_stream(
@@ -359,21 +392,26 @@ def _split_then_block_stream(
             part = i - split_slot
             base_rows.append([{off[split_slot] + part * d + z: 1} for z in range(d)])
     code = build_block_code(tau, b, fld, seed)
-    slot_rows: list[list[Row]] = [[] for _ in range(seq.t + 1)]
-    for i in range(tau):
-        slot_rows[i] = base_rows[i]
+    slot_rows = base_rows + [[] for _ in range(seq.t + 1 - tau)]
     for pj in range(b):
         rows = []
         for z in range(d):
             row: Row = {}
             for i in range(tau):
-                row = row_add(fld, row, row_scale(fld, base_rows[i][z], code.coeffs[pj][i]))
+                row = row_add(row, row_scale(fld, base_rows[i][z], code.coeffs[pj][i]))
             rows.append(row)
         slot_rows[tau + pj] = rows
     return LinearStream(seq, tau_l, slot_rows)
 
 
-def _halved_chain_stream(sch: OfflineScheme, seq: SizeSequence, fld: GF) -> LinearStream:
+def _running_sums(slot_rows: list[list[Row]], off: list[int], b: int, pivot: int, d: int) -> None:
+    """The chain of lemma2_seq2 and _halved_chain_stream: slot i+b+1 sends
+    slot i+b's sums plus message i, for i = 1..pivot-1."""
+    for i in range(1, pivot):
+        slot_rows[i + b + 1] = [row_add(slot_rows[i + b][r], {off[i] + r: 1}) for r in range(d)]
+
+
+def _halved_chain_stream(sch: OfflineScheme, seq: SizeSequence) -> LinearStream:
     """Shared shape of lemma2_seq1 and lemma3_seq1: the last nonzero message
     (slot P) is sent in halves at slots P and b, a running-sum chain covers
     slots 0..P-1, and a parity of the two halves lands at slot 2b."""
@@ -396,25 +434,15 @@ def _halved_chain_stream(sch: OfflineScheme, seq: SizeSequence, fld: GF) -> Line
     slot_rows[b + 1] = [{off[0] + r: 1} for r in range(h)] + [
         {off[0] + h + r: 1, off[pivot] + h + r: 1} for r in range(h)
     ]
-    for i in range(1, pivot):
-        slot_rows[i + b + 1] = [
-            row_add(fld, slot_rows[i + b][r], {off[i] + r: 1}) for r in range(d)
-        ]
+    _running_sums(slot_rows, off, b, pivot, d)
     slot_rows[2 * b] = [{off[pivot] + r: 1, off[pivot] + h + r: 1} for r in range(h)]
     return LinearStream(seq, tau_l, slot_rows)
 
 
-def offline_stream(
-    sch: OfflineScheme, seq: SizeSequence, fld: GF, seed: int = 0
-) -> LinearStream:
+def offline_stream(sch: OfflineScheme, fld: GF, seed: int = 0) -> LinearStream:
     """Channel packet expansions for one offline scheme on its sequence."""
-    expected = terminate_sizes(scheme_raw_sizes(sch), sch.tau, max(scheme_raw_sizes(sch)))
-    if seq != expected:
-        raise ValueError(
-            f"{sch.scheme_id} is defined only for its prescribed sequence "
-            f"{list(expected)}, got {list(seq)}"
-        )
-    tau, b, tau_l, d = sch.tau, sch.b, sch.tau_l, sch.d
+    seq = sch.sequence
+    b, tau_l, d = sch.b, sch.tau_l, sch.d
     off = symbol_offsets(seq)
     if sch.scheme_id == "lemma1_seq1":
         a, e = sch.a, sch.e
@@ -432,7 +460,7 @@ def offline_stream(
     if sch.scheme_id in ("lemma1_seq2", "lemma3_seq2"):
         return _split_then_block_stream(sch, seq, fld, seed)
     if sch.scheme_id in ("lemma2_seq1", "lemma3_seq1"):
-        return _halved_chain_stream(sch, seq, fld)
+        return _halved_chain_stream(sch, seq)
     # lemma2_seq2: every message goes out whole; a running-sum chain plus a
     # final cross parity cover the two vulnerable packets.
     pivot = b - tau_l
@@ -440,10 +468,7 @@ def offline_stream(
     for i in list(range(pivot + 1)) + [b]:
         slot_rows[i] = [{off[i] + r: 1} for r in range(d)]
     slot_rows[b + 1] = [{off[0] + r: 1, off[b] + r: 1} for r in range(d)]
-    for i in range(1, pivot):
-        slot_rows[i + b + 1] = [
-            row_add(fld, slot_rows[i + b][r], {off[i] + r: 1}) for r in range(d)
-        ]
+    _running_sums(slot_rows, off, b, pivot, d)
     slot_rows[2 * b] = [{off[b] + r: 1, off[pivot] + r: 1} for r in range(d)]
     return LinearStream(seq, tau_l, slot_rows)
 

@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import gap as gap_mod, oracle
+from .baselines import LEMMA_SCHEMES
 from .cauchy import SingularMatrixError
 from .codecs import CODEC_IDS, bind_codec
 from .channel import apply_pattern, enumerate_patterns, is_admissible
@@ -74,7 +75,10 @@ def _resolve_sizes(args) -> tuple[list[int], int]:
             raise ConfigError("--t leaves no room before the zero tail")
         m = args.m if args.m is not None else 4
         raw = random_sizes(length, m, args.random_sizes)
-    m = args.m if args.m is not None else max(max(raw, default=0), 1)
+    if not raw:  # only a given list can be empty
+        flag = "--sizes" if args.sizes is not None else "--sizes-file"
+        raise ConfigError(f"{flag} gives no message sizes")
+    m = args.m if args.m is not None else max(max(raw), 1)
     return raw, m
 
 
@@ -326,8 +330,7 @@ def cmd_sweep(args) -> int:
             bad = oracle.verify_stream(codec, payload, "full")
             if bad is not None:
                 failures.append(f"diagonal tau={tau} b={b}: {bad!r}")
-            tr = build_transcript(p, seq, codec.n_sizes, (), [0] * len(seq))
-            if stream_rate(tr) != Fraction(tau, tau + b):
+            if Fraction(seq.total, sum(codec.n_sizes)) != Fraction(tau, tau + b):
                 failures.append(f"diagonal rate off at tau={tau} b={b}")
             rate_rows.append(_rate_row(codec))
 
@@ -430,7 +433,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "gap", help="one online-vs-offline separation experiment"
     )
     sp.add_argument("--config", default=None, help="JSON file with default flag values")
-    sp.add_argument("--lemma", default=None, choices=("conv1", "conv2", "conv3"))
+    sp.add_argument("--lemma", default=None, choices=tuple(LEMMA_SCHEMES))
     sp.add_argument("--tau", type=int, default=None)
     sp.add_argument("--b", type=int, default=None)
     sp.add_argument("--tau-l", dest="tau_l", type=int, default=None)

@@ -166,6 +166,10 @@ def bind_codec(
         if d is None:
             raise ValueError(f"{codec_id} needs the block size d")
         sch = baselines.make_scheme(codec_id, p.tau, p.b, p.tau_l, d)
-        stream = baselines.offline_stream(sch, seq, fld, seed)
-        return LinearCodec(codec_id, p, fld, stream)
+        if seq != sch.sequence:
+            raise ValueError(
+                f"{codec_id} is defined only for its prescribed sequence "
+                f"{list(sch.sequence)}, got {list(seq)}"
+            )
+        return LinearCodec(codec_id, p, fld, baselines.offline_stream(sch, fld, seed))
     raise ValueError(f"unknown codec {codec_id!r}; known: {', '.join(CODEC_IDS)}")

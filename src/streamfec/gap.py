@@ -7,36 +7,20 @@ prefix symbol-count conditions. Each experiment builds the two offline
 reference schemes, confirms their exact rates, computes the prefix budget
 (most an R1-achieving scheme may send early) and the prefix demand (least
 an R2-achieving scheme must send there), and checks budget < demand.
+
+The regime rule and the scheme pairs live in `baselines`; `REGIMES` and
+`classify_regime` are imported from there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import baselines
+from .baselines import REGIMES, classify_regime  # noqa: F401  (the regime rule lives there)
 from .gf import GF, field as make_field
-
-REGIMES = ("regime1", "regime2", "conv1", "conv2", "conv3")
-
-
-def classify_regime(tau: int, b: int, tau_l: int) -> str:
-    """Which optimality regime, or which separation family, covers a tuple.
-
-    The two regimes are checked first; the remaining parameters split by
-    the relation of tau_l to tau - b and to b. Exactly one label applies.
-    """
-    if not 1 <= b <= tau or not 0 <= tau_l <= tau - b:
-        raise ValueError(f"invalid parameters (tau={tau}, b={b}, tau_l={tau_l})")
-    if tau_l == tau - b and tau % b == 0:
-        return "regime1"
-    if tau_l == 0:
-        return "regime2"
-    if tau_l == tau - b and tau_l >= b:
-        return "conv1"
-    if tau_l == tau - b:
-        return "conv2"
-    return "conv3"
 
 
 @dataclass
@@ -58,11 +42,6 @@ class GapCheckError(AssertionError):
     """An experiment's internal cross-check failed."""
 
 
-def _prefix_symbols(stream: baselines.LinearStream, upto: int) -> int:
-    """Channel symbols sent in slots 0..upto-1."""
-    return sum(stream.n_sizes[:upto])
-
-
 def run_gap(
     lemma: str,
     tau: int,
@@ -82,65 +61,42 @@ def run_gap(
         if lemma not in ("conv1", "conv2"):
             raise ValueError(f"{lemma} needs an explicit tau_l")
         tau_l = tau - b
-    baselines.check_lemma_params(lemma, tau, b, tau_l)
+    sch1, sch2 = map(baselines.require_d_step, baselines.scheme_pair(lemma, tau, b, tau_l, d))
     if fld is None:
         fld = make_field(8)
-    prefix = {"conv1": "lemma1", "conv2": "lemma2", "conv3": "lemma3"}[lemma]
-    seq1, seq2 = baselines.lemma_sequences(lemma, tau, b, tau_l, d)
-    sch1 = baselines.make_scheme(f"{prefix}_seq1", tau, b, tau_l, d)
-    sch2 = baselines.make_scheme(f"{prefix}_seq2", tau, b, tau_l, d)
-    st1 = baselines.offline_stream(sch1, seq1, fld, seed)
-    st2 = baselines.offline_stream(sch2, seq2, fld, seed)
+    st1, st2 = (baselines.offline_stream(sch, fld, seed) for sch in (sch1, sch2))
 
-    rate1 = Fraction(seq1.total, sum(st1.n_sizes))
-    rate2 = Fraction(seq2.total, sum(st2.n_sizes))
-    want1 = baselines.scheme_stated_rate(sch1)
-    want2 = baselines.scheme_stated_rate(sch2)
+    rate1, rate2 = (Fraction(st.seq.total, sum(st.n_sizes)) for st in (st1, st2))
+    want1, want2 = map(baselines.scheme_stated_rate, (sch1, sch2))
     if rate1 != want1 or rate2 != want2:
         raise GapCheckError(
             f"scheme rates {rate1}, {rate2} differ from stated {want1}, {want2}"
         )
 
-    details: dict = {}
+    # witnesses: scheme 1 spends exactly the budget in slots 0..b-1, scheme
+    # 2 exactly the demand in slots 0..e-1 (conv1) or 0..b-1
+    details: dict = {
+        "witness_budget": sum(st1.n_sizes[:b]),
+        "witness_demand": sum(st2.n_sizes[: sch1.e if lemma == "conv1" else b]),
+    }
     if lemma == "conv1":
-        a, e = tau_l // b, tau_l % b
-        budget = Fraction(d * e, a + 1)
-        demand = Fraction(d * e)
-        # witnesses: scheme 1 spends exactly the budget in slots 0..b-1,
-        # scheme 2 exactly the demand in slots 0..e-1
-        details["witness_budget"] = _prefix_symbols(st1, b)
-        details["witness_demand"] = _prefix_symbols(st2, e)
-        ok = (
-            details["witness_budget"] == budget
-            and details["witness_demand"] == demand
-        )
+        budget = Fraction(d * sch1.e, sch1.a + 1)
+        demand = Fraction(d * sch1.e)
+        ok = True
     elif lemma == "conv2":
         budget = d * (b - tau_l) + Fraction(d, 2)
         demand = Fraction(d * (b - tau_l + 1))
-        details["witness_budget"] = _prefix_symbols(st1, b)
-        details["witness_demand"] = _prefix_symbols(st2, b)
         # total accounting: a budget-compliant prefix forces more symbols in
         # total than the R2 rate allows
         details["total_required"] = d * (2 * b - 2 * tau_l + 3) + Fraction(d, 2)
         details["total_allowed"] = Fraction(d * (2 * b - 2 * tau_l + 3))
         details["witness_total"] = sum(st2.n_sizes)
-        ok = (
-            details["witness_budget"] == budget
-            and details["witness_demand"] == demand
-            and details["witness_total"] == details["total_allowed"]
-            and details["total_required"] > details["total_allowed"]
-        )
+        ok = details["witness_total"] == details["total_allowed"] < details["total_required"]
     else:  # conv3
         budget = d * b - Fraction(d, 2)
         demand = Fraction(d * b)
-        details["witness_budget"] = _prefix_symbols(st1, b)
-        details["witness_demand"] = _prefix_symbols(st2, b)
-        ok = (
-            details["witness_budget"] == budget
-            and details["witness_demand"] == demand
-            and _cyclic_channels_ok(st2, tau, b, d, details)
-        )
-    if not ok:
+        ok = _cyclic_channels_ok(st2, tau, b, d, details)
+    if not (ok and details["witness_budget"] == budget and details["witness_demand"] == demand):
         raise GapCheckError(f"witness cross-checks failed: {details}")
 
     separated = demand > budget
@@ -185,20 +141,16 @@ def sweep_classifier(tau_max: int) -> dict[tuple[int, int, int], str]:
 
 
 def gap_cells(tau_max: int, d_max: int) -> list[tuple[str, int, int, int, int]]:
-    """Every (lemma, tau, b, tau_l, d) cell with valid scheme requirements."""
+    """Every (lemma, tau, b, tau_l, d) cell with d in 1..d_max that both of
+    the lemma's schemes accept."""
     cells = []
-    for tau in range(2, tau_max + 1):
-        for b in range(1, tau + 1):
-            for tau_l in range(0, tau - b + 1):
-                regime = classify_regime(tau, b, tau_l)
-                if regime in ("regime1", "regime2"):
-                    continue
-                if regime == "conv1":
-                    a = tau_l // b
-                    ds = [x for x in range(a + 1, d_max + 1) if x % (a + 1) == 0]
-                else:
-                    ds = [x for x in range(2, d_max + 1) if x % 2 == 0]
-                cells.extend((regime, tau, b, tau_l, x) for x in ds)
+    for (tau, b, tau_l), regime in sweep_classifier(tau_max).items():
+        if regime not in baselines.LEMMA_SCHEMES:
+            continue
+        # a scheme's d_step does not depend on d
+        pair = baselines.scheme_pair(regime, tau, b, tau_l, 1)
+        step = math.lcm(*(sch.d_step for sch in pair))
+        cells.extend((regime, tau, b, tau_l, d) for d in range(step, d_max + 1, step))
     return cells
 
 

@@ -169,10 +169,6 @@ class Transcript:
     def k_sizes(self) -> list[int]:
         return [r.k for r in self.records]
 
-    @property
-    def n_sizes(self) -> list[int]:
-        return [r.n for r in self.records]
-
 
 def build_transcript(
     params: CodeParams,

@@ -12,6 +12,7 @@ from streamfec.baselines import (
     lemma_sequences,
     make_scheme,
     offline_stream,
+    scheme_pair,
     scheme_stated_rate,
 )
 from streamfec.channel import all_patterns, apply_pattern, single_burst_patterns
@@ -178,12 +179,12 @@ def test_lemma_preconditions_enforced():
         make_scheme("lemma2_seq1", 6, 2, 4, 2)  # tau_l >= b is conv1 territory
 
 
-def test_offline_stream_rejects_other_sequences():
+def test_bind_codec_rejects_other_sequences():
     fld = GF(8)
-    sch = make_scheme("lemma2_seq2", 3, 2, 1, 2)
     wrong = terminate_sizes([2, 2], 3, 2)
-    with pytest.raises(ValueError):
-        offline_stream(sch, wrong, fld)
+    p = make_params(3, 2, tau_l=1, m=2, t=wrong.t)
+    with pytest.raises(ValueError, match="prescribed sequence"):
+        bind_codec("lemma2_seq2", p, fld, wrong, d=2)
 
 
 def all_scheme_cases():
@@ -204,21 +205,17 @@ def all_scheme_cases():
 @pytest.mark.parametrize("lemma,tau,b,tau_l,d", all_scheme_cases())
 def test_offline_scheme_rates_exact(lemma, tau, b, tau_l, d):
     fld = GF(8)
-    key = {"conv1": "lemma1", "conv2": "lemma2", "conv3": "lemma3"}[lemma]
-    seqs = lemma_sequences(lemma, tau, b, tau_l, d)
-    for variant, seq in zip((1, 2), seqs):
-        sch = make_scheme(f"{key}_seq{variant}", tau, b, tau_l, d)
-        stream = offline_stream(sch, seq, fld)
-        assert Fraction(seq.total, sum(stream.n_sizes)) == scheme_stated_rate(sch)
+    for sch in scheme_pair(lemma, tau, b, tau_l, d):
+        stream = offline_stream(sch, fld)
+        assert stream.seq == sch.sequence
+        assert Fraction(sch.sequence.total, sum(stream.n_sizes)) == scheme_stated_rate(sch)
 
 
 @pytest.mark.parametrize("lemma,tau,b,tau_l,d", all_scheme_cases())
 def test_offline_scheme_single_burst_decoding(lemma, tau, b, tau_l, d):
     fld = GF(8)
-    key = {"conv1": "lemma1", "conv2": "lemma2", "conv3": "lemma3"}[lemma]
-    seqs = lemma_sequences(lemma, tau, b, tau_l, d)
-    for variant, seq in zip((1, 2), seqs):
-        sch = make_scheme(f"{key}_seq{variant}", tau, b, tau_l, d)
+    for sch in scheme_pair(lemma, tau, b, tau_l, d):
+        seq = sch.sequence
         p = make_params(tau, b, tau_l=tau_l, m=max(seq), t=seq.t)
         codec = bind_codec(sch.scheme_id, p, fld, seq, d=d)
         payload = random_payload(seq, fld, 17)
@@ -236,11 +233,9 @@ def test_rate_never_exceeds_channel_capacity_bound():
     # every codec that meets both deadlines stays at or below tau/(tau+b)
     fld = GF(8)
     for lemma, tau, b, tau_l, d in all_scheme_cases():
-        key = {"conv1": "lemma1", "conv2": "lemma2", "conv3": "lemma3"}[lemma]
-        for variant, seq in zip((1, 2), lemma_sequences(lemma, tau, b, tau_l, d)):
-            sch = make_scheme(f"{key}_seq{variant}", tau, b, tau_l, d)
-            stream = offline_stream(sch, seq, fld)
-            rate = Fraction(seq.total, sum(stream.n_sizes))
+        for sch in scheme_pair(lemma, tau, b, tau_l, d):
+            stream = offline_stream(sch, fld)
+            rate = Fraction(sch.sequence.total, sum(stream.n_sizes))
             assert rate <= Fraction(tau, tau + b)
 
 
@@ -253,10 +248,8 @@ def test_packet_values_equal_the_mul_reference(degree):
     p = make_params(4, 2, tau_l=2, m=3, t=7)
     streams = [baselines.diagonal_stream(p, terminate_sizes([3, 0, 2, 3], 4, 3))]
     for lemma, tau, b, tau_l, d in all_scheme_cases():
-        key = {"conv1": "lemma1", "conv2": "lemma2", "conv3": "lemma3"}[lemma]
-        for variant, seq in zip((1, 2), lemma_sequences(lemma, tau, b, tau_l, d)):
-            sch = make_scheme(f"{key}_seq{variant}", tau, b, tau_l, d)
-            streams.append(offline_stream(sch, seq, fld, seed=degree))
+        for sch in scheme_pair(lemma, tau, b, tau_l, d):
+            streams.append(offline_stream(sch, fld, seed=degree))
     for seed, stream in enumerate(streams):
         payload = random_payload(stream.seq, fld, seed)
         flat = [0 if n % 3 == 0 else s for n, s in enumerate(s for pkt in payload for s in pkt)]

@@ -443,3 +443,16 @@ def test_verify_diagonal_at_b_equal_tau_passes_dominance(capsys):
     )
     assert code == 0
     assert json.loads(out)["status"] == "ok"
+
+
+@pytest.mark.parametrize("text", ["", " ", "\n"])
+def test_empty_size_list_is_refused_by_its_flag(capsys, tmp_path, text):
+    # an empty list used to be terminated into tau zeros and fail on "t >= tau"
+    sizes_file = tmp_path / "sizes.txt"
+    sizes_file.write_text(text)
+    for flag, value in (("--sizes", text), ("--sizes-file", str(sizes_file))):
+        code, _, err = run_cli(
+            capsys, "encode", "--codec", "vgms", "--tau", "2", "--b", "1", flag, value
+        )
+        assert code == 2
+        assert err.count("error:") == 1 and flag in err and "t >= tau" not in err

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from streamfec.baselines import make_scheme, scheme_pair
 from streamfec.gap import (
     REGIMES,
     classify_regime,
@@ -12,6 +13,14 @@ from streamfec.gap import (
     sweep_classifier,
 )
 from streamfec.gf import GF
+
+
+def accepts(scheme_id, tau, b, tau_l, d):
+    try:
+        make_scheme(scheme_id, tau, b, tau_l, d)
+    except ValueError:
+        return False
+    return True
 
 
 def test_classifier_worked_examples():
@@ -100,3 +109,16 @@ def test_gap_sweep_all_separated():
 def test_gap_cells_cover_all_three_families():
     families = {lemma for lemma, *_ in gap_cells(8, 4)}
     assert families == {"conv1", "conv2", "conv3"}
+
+
+def test_gap_cells_list_exactly_the_d_both_schemes_accept():
+    tau_max, d_max = 8, 12
+    want = []
+    for (tau, b, tau_l), lemma in sweep_classifier(tau_max).items():
+        if lemma in ("regime1", "regime2"):
+            continue
+        for d in range(1, d_max + 1):
+            pair = scheme_pair(lemma, tau, b, tau_l, d)
+            if all(accepts(sch.scheme_id, tau, b, tau_l, d) for sch in pair):
+                want.append((lemma, tau, b, tau_l, d))
+    assert gap_cells(tau_max, d_max) == want

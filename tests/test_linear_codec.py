@@ -12,7 +12,7 @@ import itertools
 
 import pytest
 
-from streamfec.baselines import LinearStream, lemma_sequences
+from streamfec.baselines import LinearStream, scheme_pair
 from streamfec.channel import apply_pattern
 from streamfec.codecs import LinearCodec, bind_codec
 from streamfec.gf import GF, in_field
@@ -81,10 +81,10 @@ def diagonal(tau, b, raw):
 
 
 def offline(lemma, variant, tau, b, tau_l, d):
-    scheme_id = {"conv1": "lemma1", "conv2": "lemma2", "conv3": "lemma3"}[lemma] + f"_seq{variant}"
-    seq = lemma_sequences(lemma, tau, b, tau_l, d)[variant - 1]
+    sch = scheme_pair(lemma, tau, b, tau_l, d)[variant - 1]
+    seq = sch.sequence
     p = make_params(tau, b, tau_l=tau_l, m=max(seq), t=seq.t)
-    return bind_codec(scheme_id, p, GF(8), seq, d=d)
+    return bind_codec(sch.scheme_id, p, GF(8), seq, d=d)
 
 
 def late_stream():
