@@ -305,11 +305,13 @@ class OfflineScheme:
 
     @property
     def d_step(self) -> int:
-        """What d must be a multiple of: a+1 for both lemma 1 schemes, 2 for
-        both lemma 2 schemes and for lemma 3's first (it sends halves)."""
-        if self.lemma == "conv1":
-            return self.a + 1
-        return 2 if self.lemma == "conv2" or self.variant == 1 else 1
+        """What d must be a multiple of: a+1 for lemma 1's first scheme (it
+        splits each message into a+1 parts), 2 for the other first schemes
+        (they send halves), and 1 for every second scheme, which never
+        splits d."""
+        if self.variant == 2:
+            return 1
+        return self.a + 1 if self.lemma == "conv1" else 2
 
     @property
     def sequence(self) -> SizeSequence:

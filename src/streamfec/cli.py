@@ -7,6 +7,11 @@ means a construction guarantee broke: `vgms.DecodeFailure`,
 errors. Every non-zero exit prints one `error: ...` line to stderr. Every
 output file embeds the run configuration for replay, and a fixed seed
 reproduces byte-identical outputs.
+
+`simulate` judges its one decode by `oracle.judge_decode`, the verdict the
+`verify` replay loop applies to every pattern, so the `replay` argv that a
+`verify` counterexample carries fails under `simulate` with the same slot
+and reason.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .channel import apply_pattern, enumerate_patterns, is_admissible
 from .gf import field
 from .model import (
     build_transcript,
-    check_delays,
     make_params,
     param_violations,
     random_payload,
@@ -74,7 +78,8 @@ def _resolve_sizes(args) -> tuple[list[int], int]:
         if length < 1:
             raise ConfigError("--t leaves no room before the zero tail")
         m = args.m if args.m is not None else 4
-        raw = random_sizes(length, m, args.random_sizes)
+        # the tail always: a draw that already ends in zeros still runs to --t
+        raw = random_sizes(length, m, args.random_sizes) + [0] * args.tau
     if not raw:  # only a given list can be empty
         flag = "--sizes" if args.sizes is not None else "--sizes-file"
         raise ConfigError(f"{flag} gives no message sizes")
@@ -229,21 +234,10 @@ def cmd_encode(args) -> int:
 
 def cmd_simulate(args) -> int:
     pattern = tuple(_parse_int_list(args.pattern)) if args.pattern else ()
-    _, payload, result, tr = _transcript_run(args, pattern)
+    codec, payload, result, tr = _transcript_run(args, pattern)
     _emit(args, _transcript_text(tr, _config_dict(args)))
-    ok = True
-    for i, want in enumerate(payload):
-        if result.messages[i] != list(want):
-            print(f"slot {i}: recovered symbols differ", file=sys.stderr)
-            ok = False
-    bad = check_delays(tr, lossless=False)
-    if bad is not None:
-        print(
-            f"slot {bad.slot}: decoded at {bad.decode_time}, deadline {bad.deadline}",
-            file=sys.stderr,
-        )
-        ok = False
-    return 0 if ok else _failed("the decode missed the payload or a deadline")
+    bad = oracle.judge_decode(codec, pattern, result, payload)
+    return 0 if bad is None else _failed(f"slot {bad.slot}: {bad.reason}")
 
 
 def _seeded_run(args, seed: int, **flags):
@@ -254,6 +248,16 @@ def _seeded_run(args, seed: int, **flags):
     )
     _, fld, seq, codec = _build_run(run_args, seed=seed)
     return codec, random_payload(seq, fld, seed)
+
+
+def _replay_argv(args, seed: int, pattern: tuple[int, ...]) -> list[str]:
+    """The `simulate` argv that rebuilds stream `seed` of a multi-seed run
+    with the same run flags and erases `pattern`."""
+    argv = ["simulate", "--random-sizes", str(seed), "--seed", str(seed)]
+    for dest in ("codec", "tau", "b", "tau_l", "w", "m", "t", "d", "field_degree"):
+        if getattr(args, dest) is not None:
+            argv += [_flag(dest), str(getattr(args, dest))]
+    return argv + (["--pattern", ",".join(map(str, pattern))] if pattern else [])
 
 
 def _require_at_least(value: int, low: int, flag: str) -> None:
@@ -276,6 +280,8 @@ def cmd_verify(args) -> int:
             # both kinds of failure name the seed and sizes that replay it
             status = "minimality-gap" if isinstance(bad, oracle.ProfileGap) else "counterexample"
             failure = {"seed": seed, "sizes": list(codec.seq), **dataclasses.asdict(bad)}
+            if status == "counterexample":
+                failure["replay"] = _replay_argv(args, seed, bad.pattern)
             break
     report = {
         "config": _config_dict(args),
@@ -375,13 +381,14 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--codec", default=None, choices=CODEC_IDS)
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _require(args, *names: str) -> None:
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
-        raise ConfigError(
-            "missing required option(s): "
-            + ", ".join("--" + n.replace("_", "-") for n in missing)
-        )
+        raise ConfigError("missing required option(s): " + ", ".join(map(_flag, missing)))
 
 
 def _add_sizes(sp: argparse.ArgumentParser) -> None:

@@ -5,6 +5,11 @@ counting recursion (no codec involved), and an exhaustive decode check that
 replays every enumerated loss pattern through a codec and its decoder. The
 codecs under test never feed the oracle side, so agreement is evidence.
 
+`judge_decode` is the one verdict on a single decode (symbols, then the
+worst-case deadline, then the lossless one for the empty pattern). The
+replay loop, `streamfec simulate` and the tests all judge by it, so a
+failure `verify` reports replays under `simulate` with the same reason.
+
 `verify_stream` is the one per-stream check: the decode check, then
 `profile_gap`, which at zero lossless delay holds the online codec ("vgms")
 to the lower bound exactly and any other codec to dominance.
@@ -17,7 +22,7 @@ from typing import Sequence
 
 from .channel import enumerate_patterns, apply_pattern, erased_runs
 from .model import CodeParams, SizeSequence, deadline_violation, require_valid
-from .vgms import DecodeFailure
+from .vgms import DecodeFailure, DecodeResult
 
 
 def cumulative_profile(n_sizes: Sequence[int]) -> list[int]:
@@ -96,39 +101,55 @@ class Counterexample:
     reason: str
 
 
-def exhaustive_decode_check(
-    codec,
-    payload: Sequence[Sequence[int]],
-    mode: str,
+def judge_decode(
+    codec, pattern: tuple[int, ...], result: DecodeResult, originals: Sequence[Sequence[int]]
 ) -> Counterexample | None:
-    """Encode once, replay every enumerated pattern, decode, check:
-    recovered symbols match, lossy deadlines hold, and the empty pattern
-    additionally meets the codec's lossless deadline.
+    """The one verdict on a decode: the recovered symbols match, the
+    worst-case deadline holds, and the empty pattern also meets the
+    codec's lossless deadline. `originals` must be a list of lists.
+
+    Returns the first failing (pattern, slot, reason), else None.
+    """
+    return _judge(codec.seq.sizes, codec.params.tau, codec.tau_l, pattern, result, originals)
+
+
+def _judge(sizes, tau, tau_l, pattern, result, originals) -> Counterexample | None:
+    """`judge_decode` on numbers read from the codec, so that the replay
+    loop reads them once per stream rather than once per pattern."""
+    if result.messages != originals:
+        for i, want in enumerate(originals):
+            if result.messages[i] != want:
+                return Counterexample(pattern, i, "recovered symbols differ")
+    bad, kind = deadline_violation(sizes, result.decode_times, tau), "worst-case"
+    if bad is None and not pattern:
+        bad, kind = deadline_violation(sizes, result.decode_times, tau_l), "lossless"
+    if bad is not None:
+        return Counterexample(
+            pattern, bad.slot, f"{kind} deadline missed ({bad.decode_time} > {bad.deadline})"
+        )
+    return None
+
+
+def exhaustive_decode_check(
+    codec, payload: Sequence[Sequence[int]], mode: str
+) -> Counterexample | None:
+    """Encode once, then decode every enumerated pattern and judge it by
+    `judge_decode`; a decode that raises `DecodeFailure` fails too.
 
     Returns the first failing (pattern, slot, reason), else None.
     """
     p: CodeParams = codec.params
-    seq: SizeSequence = codec.seq
+    sizes, tau_l = codec.seq.sizes, codec.tau_l
     packets = codec.encode(payload)
-    sizes = seq.sizes
     originals = [list(pkt) for pkt in payload]
     for pattern in enumerate_patterns(p, mode):
-        received = apply_pattern(pattern, packets)
         try:
-            result = codec.decode(received)
+            result = codec.decode(apply_pattern(pattern, packets))
         except DecodeFailure as exc:
             return Counterexample(pattern, None, f"decode failure: {exc}")
-        if result.messages != originals:
-            for i in range(seq.t + 1):
-                if result.messages[i] != originals[i]:
-                    return Counterexample(pattern, i, "recovered symbols differ")
-        bad, kind = deadline_violation(sizes, result.decode_times, p.tau), "worst-case"
-        if bad is None and not pattern:
-            bad, kind = deadline_violation(sizes, result.decode_times, codec.tau_l), "lossless"
+        bad = _judge(sizes, p.tau, tau_l, pattern, result, originals)
         if bad is not None:
-            return Counterexample(
-                pattern, bad.slot, f"{kind} deadline missed ({bad.decode_time} > {bad.deadline})"
-            )
+            return bad
     return None
 
 

@@ -428,6 +428,103 @@ def test_verify_failure_names_seed_and_sizes(
         assert failure["reason"] == "recovered symbols differ"
     else:
         assert failure["slot"] == 0 and failure["want"] == failure["have"] + 1
+        assert "replay" not in failure  # a profile gap is the stream's, not a decode's
+
+
+def wrong_symbol_under_loss(monkeypatch):
+    real = VgmsCodec.decode
+
+    def decode(self, received):
+        result = real(self, received)
+        if None in received:
+            i = next(i for i, msg in enumerate(result.messages) if msg)
+            result.messages[i] = [s ^ 1 for s in result.messages[i]]
+        return result
+
+    monkeypatch.setattr(VgmsCodec, "decode", decode)
+
+
+def late_lossless_decode(monkeypatch):
+    """The first message decodes one slot late when nothing is lost: still
+    within tau, but past the lossless deadline."""
+    real = VgmsCodec.decode
+
+    def decode(self, received):
+        result = real(self, received)
+        if None not in received:
+            result.decode_times[next(i for i, k in enumerate(self.seq) if k)] += 1
+        return result
+
+    monkeypatch.setattr(VgmsCodec, "decode", decode)
+
+
+@pytest.mark.parametrize(
+    "plant,reason",
+    [
+        (wrong_symbol_under_loss, "recovered symbols differ"),
+        (late_lossless_decode, "lossless deadline missed"),
+    ],
+)
+def test_verify_counterexample_replays_under_simulate(capsys, monkeypatch, plant, reason):
+    plant(monkeypatch)
+    code, out, _ = run_cli(
+        capsys,
+        "verify",
+        "--codec", "vgms",
+        "--tau", "4",
+        "--b", "2",
+        "--t", "9",
+        "--seeds", "1",
+        "--field-degree", "8",
+    )
+    assert code == 1
+    failure = json.loads(out)["failure"]
+    assert failure["reason"].startswith(reason)
+    replay = failure["replay"]
+    assert replay[:5] == ["simulate", "--random-sizes", "0", "--seed", "0"]
+    assert ("--pattern" in replay) == bool(failure["pattern"])
+    code, out, err = run_cli(capsys, *replay)
+    assert code == 1
+    assert err == f"error: slot {failure['slot']}: {failure['reason']}\n"
+    erased = [r["slot"] for r in map(json.loads, out.splitlines()[1:]) if r["erased"]]
+    assert erased == failure["pattern"]
+
+
+def test_random_sizes_run_to_t(capsys):
+    # seed 4 draws 1,2,0,3,3,1,0,0, which already ends in tau zeros; the
+    # stream still gets its tail, so the transcript covers slots 0..t
+    code, out, _ = run_cli(
+        capsys,
+        "encode",
+        "--codec", "vgms",
+        "--tau", "2",
+        "--b", "1",
+        "--m", "3",
+        "--t", "9",
+        "--random-sizes", "4",
+        "--field-degree", "8",
+    )
+    assert code == 0
+    slots = [json.loads(x) for x in out.splitlines()[1:]]
+    assert [r["slot"] for r in slots] == list(range(10))
+    assert [r["k"] for r in slots] == [1, 2, 0, 3, 3, 1, 0, 0, 0, 0]
+
+
+def test_second_offline_scheme_takes_a_d_its_pair_cannot(capsys):
+    # lemma2_seq1 sends halves and needs an even d; lemma2_seq2 does not
+    code, _, err = run_cli(
+        capsys,
+        "simulate",
+        "--codec", "lemma2_seq2",
+        "--tau", "3",
+        "--b", "2",
+        "--tau-l", "1",
+        "--d", "3",
+        "--sizes", "3,3,3",
+        "--pattern", "1,2",
+        "--field-degree", "8",
+    )
+    assert (code, err) == (0, "")
 
 
 def test_verify_diagonal_at_b_equal_tau_passes_dominance(capsys):

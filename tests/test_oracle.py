@@ -14,6 +14,7 @@ from streamfec.model import (
     random_sizes,
     terminate_sizes,
 )
+from streamfec.vgms import DecodeResult
 from streamfec.oracle import (
     Counterexample,
     ProfileGap,
@@ -21,6 +22,7 @@ from streamfec.oracle import (
     cumulative_profile,
     decoded_before_burst,
     exhaustive_decode_check,
+    judge_decode,
     lower_bound_profile,
     profile_gap,
     verify_stream,
@@ -168,6 +170,27 @@ def test_exhaustive_check_passes_for_vgms():
     codec = bind_codec("vgms", p, fld, seq)
     payload = random_payload(seq, fld, 2)
     assert exhaustive_decode_check(codec, payload, "full") is None
+
+
+def test_judge_decode_checks_symbols_then_each_deadline():
+    fld = GF(8)
+    seq = terminate_sizes([2, 1], 2, 2)  # slots 0..3, tau = 2
+    codec = bind_codec("vgms", make_params(2, 1, m=2, t=seq.t), fld, seq)
+    payload = random_payload(seq, fld, 0)
+    wrong = [list(msg) for msg in payload]
+    wrong[1][0] ^= 1
+
+    def judge(pattern, messages, times):
+        bad = judge_decode(codec, pattern, DecodeResult(messages, times), payload)
+        return bad and (bad.slot, bad.reason)
+
+    assert judge((), payload, [0, 1, 2, 3]) is None
+    # symbols first, even where a deadline is missed too
+    assert judge((), wrong, [9, 9, 9, 9]) == (1, "recovered symbols differ")
+    assert judge((2,), payload, [0, 4, 2, 3]) == (1, "worst-case deadline missed (4 > 3)")
+    # the lossless deadline binds only when nothing is lost
+    assert judge((), payload, [1, 1, 2, 3]) == (0, "lossless deadline missed (1 > 0)")
+    assert judge((2,), payload, [1, 1, 2, 3]) is None
 
 
 def test_exhaustive_check_catches_corrupted_parity(monkeypatch):
