@@ -211,19 +211,20 @@ def block_delay_violations(code: BlockCode) -> list[tuple[int, int, int]]:
     return bad
 
 
-def build_block_code(
-    tau: int, b: int, fld: GF, seed: int = 0, max_tries: int = 64
-) -> BlockCode:
+BLOCK_CODE_TRIES = 64  # seeds `build_block_code` draws before it gives up
+
+
+def build_block_code(tau: int, b: int, fld: GF, seed: int = 0) -> BlockCode:
     """Draw parity coefficients from a Cauchy pool and verify exhaustively.
 
     Entries above the diagonal in the first b columns are forced to zero:
     symbol j < b may only lean on parities 0..j, so parity l must not mix
     in message symbols j in (l, b). Redraws with an incremented seed until
-    verification passes.
+    verification passes, at most BLOCK_CODE_TRIES times.
     """
     if fld.order < 2 * tau:
         raise ValueError("field too small to draw distinct Cauchy points")
-    for attempt in range(max_tries):
+    for attempt in range(BLOCK_CODE_TRIES):
         pool = build_cauchy(tau, fld, seed + attempt)
         coeffs = [
             [
@@ -237,7 +238,7 @@ def build_block_code(
             code.verified = True
             return code
     raise BlockCodeSearchError(
-        f"no verified draw for tau={tau}, b={b} in {max_tries} tries"
+        f"no verified draw for tau={tau}, b={b} in {BLOCK_CODE_TRIES} tries"
     )
 
 

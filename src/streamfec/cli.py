@@ -8,10 +8,19 @@ errors. Every non-zero exit prints one `error: ...` line to stderr. Every
 output file embeds the run configuration for replay, and a fixed seed
 reproduces byte-identical outputs.
 
+Every stream is built by `_build_stream` from its raw sizes, a seed and
+the run values: the sizes that `encode` and `simulate` are given (by
+`--sizes`, `--sizes-file` or `--random-sizes`), and each seed's random
+draw in `verify` and `sweep`. Each subcommand registers only the flags it
+reads. `verify` draws its own sizes and payloads, so it takes no size
+flags, no `--seed` and no `--d`, and of the codecs only `vgms` and
+`diagonal`, the two that bind to any size sequence.
+
 `simulate` judges its one decode by `oracle.judge_decode`, the verdict the
-`verify` replay loop applies to every pattern, so the `replay` argv that a
-`verify` counterexample carries fails under `simulate` with the same slot
-and reason.
+`verify` replay loop applies to every pattern. The `replay` argv that a
+`verify` counterexample carries passes on every flag of `RUN_FLAGS`, the
+table the parser registers the run flags from, so it rebuilds the same
+stream and fails under `simulate` with the same slot and reason.
 """
 
 from __future__ import annotations
@@ -33,9 +42,9 @@ from .gf import field
 from .model import (
     build_transcript,
     make_params,
-    param_violations,
     random_payload,
     random_sizes,
+    require_valid,
     stream_rate,
     terminate_sizes,
     transcript_records_json,
@@ -57,8 +66,9 @@ def _parse_int_list(text: str) -> list[int]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _resolve_sizes(args) -> tuple[list[int], int]:
-    """Raw (unterminated) sizes and the effective maximum size m."""
+def _given_sizes(args) -> list[int]:
+    """Raw (unterminated) sizes from exactly one of the size flags that
+    encode and simulate take."""
     given = [
         args.sizes is not None,
         args.sizes_file is not None,
@@ -66,45 +76,51 @@ def _resolve_sizes(args) -> tuple[list[int], int]:
     ]
     if sum(given) != 1:
         raise ConfigError("give exactly one of --sizes, --sizes-file, --random-sizes")
+    if args.random_sizes is not None:
+        return _random_raw(vars(args), args.random_sizes)
     if args.sizes is not None:
         raw = _parse_int_list(args.sizes)
-    elif args.sizes_file is not None:
+    else:
         with open(args.sizes_file, encoding="utf-8") as fh:
             raw = _parse_int_list(fh.read())
-    else:
-        if args.t is None:
-            raise ConfigError("--random-sizes needs --t for the stream length")
-        length = args.t + 1 - args.tau
-        if length < 1:
-            raise ConfigError("--t leaves no room before the zero tail")
-        m = args.m if args.m is not None else 4
-        # the tail always: a draw that already ends in zeros still runs to --t
-        raw = random_sizes(length, m, args.random_sizes) + [0] * args.tau
-    if not raw:  # only a given list can be empty
+    if not raw:
         flag = "--sizes" if args.sizes is not None else "--sizes-file"
         raise ConfigError(f"{flag} gives no message sizes")
-    m = args.m if args.m is not None else max(max(raw), 1)
-    return raw, m
+    return raw
 
 
-def _build_run(args, seed: int = 0):
-    _require(args, "codec", "tau", "b")
-    raw, m = _resolve_sizes(args)
-    seq = terminate_sizes(raw, args.tau, m)
-    p = make_params(args.tau, args.b, tau_l=args.tau_l, w=args.w, m=m, t=seq.t)
-    bad = param_violations(p)
-    if bad:
-        raise ConfigError("invalid parameters: " + "; ".join(bad))
-    fld = field(args.field_degree)
-    codec = bind_codec(args.codec, p, fld, seq, d=args.d, seed=seed)
-    return p, fld, seq, codec
+def _random_raw(run: dict, seed: int) -> list[int]:
+    """Raw sizes of the random stream `seed` that ends at slot t: t+1-tau
+    sizes drawn from [0, m] (m defaults to 4), then the zero tail, which a
+    draw that already ends in zeros gets too."""
+    if run["t"] is None:
+        raise ConfigError("--random-sizes needs --t for the stream length")
+    length = run["t"] + 1 - run["tau"]
+    if length < 1:
+        raise ConfigError("--t leaves no room before the zero tail")
+    m = run["m"] if run["m"] is not None else 4
+    return random_sizes(length, m, seed) + [0] * run["tau"]
 
 
-def _config_dict(args, extra: dict | None = None) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
-    if extra:
-        cfg.update(extra)
-    return cfg
+def _build_stream(raw: list[int], seed: int, run: dict):
+    """Bind one stream's codec and draw its payload, for every subcommand.
+
+    `raw` is the sizes before the zero tail (m defaults to their largest);
+    the codec's coefficients and the payload are drawn from `seed`; `run`
+    holds the run values codec, tau, b, tau_l, m, field_degree and, where
+    the caller has them, w and d.
+    """
+    m = run["m"] if run["m"] is not None else max(max(raw), 1)
+    seq = terminate_sizes(raw, run["tau"], m)
+    p = make_params(run["tau"], run["b"], tau_l=run["tau_l"], w=run.get("w"), m=m, t=seq.t)
+    require_valid(p)
+    fld = field(run["field_degree"])
+    codec = bind_codec(run["codec"], p, fld, seq, d=run.get("d"), seed=seed)
+    return codec, random_payload(seq, fld, seed)
+
+
+def _config_dict(args) -> dict:
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
 
 
 def _apply_config_file(args, subparser: argparse.ArgumentParser) -> None:
@@ -213,13 +229,14 @@ def _rate_row(codec) -> dict:
 
 def _transcript_run(args, pattern: tuple[int, ...]):
     """Encode the configured stream, erase `pattern`, decode, transcribe."""
-    p, fld, seq, codec = _build_run(args, seed=args.seed)
+    _require(args, "codec", "tau", "b")
+    codec, payload = _build_stream(_given_sizes(args), args.seed, vars(args))
+    p = codec.params
     if not is_admissible(pattern, p):
         raise ConfigError(f"pattern {list(pattern)} is not admissible for C(b={p.b}, w={p.w})")
-    payload = random_payload(seq, fld, args.seed)
     result = codec.decode(apply_pattern(pattern, codec.encode(payload)))
     layout = codec.trace() if hasattr(codec, "trace") else None
-    tr = build_transcript(p, seq, codec.n_sizes, pattern, result.decode_times, layout)
+    tr = build_transcript(p, codec.seq, codec.n_sizes, pattern, result.decode_times, layout)
     return codec, payload, result, tr
 
 
@@ -240,21 +257,11 @@ def cmd_simulate(args) -> int:
     return 0 if bad is None else _failed(f"slot {bad.slot}: {bad.reason}")
 
 
-def _seeded_run(args, seed: int, **flags):
-    """Stream `seed` of a multi-seed run: sizes, codec and payload all drawn
-    from `seed`; `flags` override the command's own options."""
-    run_args = argparse.Namespace(
-        **{**vars(args), **flags, "random_sizes": seed, "sizes": None, "sizes_file": None}
-    )
-    _, fld, seq, codec = _build_run(run_args, seed=seed)
-    return codec, random_payload(seq, fld, seed)
-
-
 def _replay_argv(args, seed: int, pattern: tuple[int, ...]) -> list[str]:
-    """The `simulate` argv that rebuilds stream `seed` of a multi-seed run
-    with the same run flags and erases `pattern`."""
+    """The `simulate` argv that rebuilds stream `seed` of a `verify` run
+    with every run flag and erases `pattern`."""
     argv = ["simulate", "--random-sizes", str(seed), "--seed", str(seed)]
-    for dest in ("codec", "tau", "b", "tau_l", "w", "m", "t", "d", "field_degree"):
+    for dest in RUN_FLAGS:
         if getattr(args, dest) is not None:
             argv += [_flag(dest), str(getattr(args, dest))]
     return argv + (["--pattern", ",".join(map(str, pattern))] if pattern else [])
@@ -266,14 +273,14 @@ def _require_at_least(value: int, low: int, flag: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    if args.t is None:
-        raise ConfigError("verify needs --t")
+    _require(args, "codec", "tau", "b", "t")
     _require_at_least(args.seeds, 1, "--seeds")
     patterns_checked = 0
     status = "ok"
     failure: dict | None = None
+    run = vars(args)
     for seed in range(args.seeds):
-        codec, payload = _seeded_run(args, seed)
+        codec, payload = _build_stream(_random_raw(run, seed), seed, run)
         bad = oracle.verify_stream(codec, payload, args.enumerate)
         patterns_checked += sum(1 for _ in enumerate_patterns(codec.params, args.enumerate))
         if bad is not None:
@@ -316,10 +323,9 @@ def cmd_sweep(args) -> int:
 
     for tau in range(2, args.tau_max + 1):
         for b in range(1, tau + 1):
+            run = {**vars(args), "codec": "vgms", "tau": tau, "b": b, "tau_l": 0}
             for seed in range(args.seeds):
-                codec, payload = _seeded_run(
-                    args, seed, codec="vgms", tau=tau, b=b, tau_l=0, w=None, d=None
-                )
+                codec, payload = _build_stream(_random_raw(run, seed), seed, run)
                 bad = oracle.verify_stream(codec, payload, "full")
                 vgms_runs += 1
                 if bad is not None:
@@ -329,14 +335,12 @@ def cmd_sweep(args) -> int:
     for tau in range(1, args.tau_max + 1):
         for b in (x for x in range(1, tau + 1) if tau % x == 0):
             k = tau // b
-            seq = terminate_sizes([k] * 3, tau, k)
-            p = make_params(tau, b, tau_l=tau - b, m=k, t=seq.t)
-            codec = bind_codec("diagonal", p, fld, seq)
-            payload = random_payload(seq, fld, 0)
+            run = {**vars(args), "codec": "diagonal", "tau": tau, "b": b, "tau_l": tau - b, "m": k}
+            codec, payload = _build_stream([k] * 3, 0, run)
             bad = oracle.verify_stream(codec, payload, "full")
             if bad is not None:
                 failures.append(f"diagonal tau={tau} b={b}: {bad!r}")
-            if Fraction(seq.total, sum(codec.n_sizes)) != Fraction(tau, tau + b):
+            if Fraction(codec.seq.total, sum(codec.n_sizes)) != Fraction(tau, tau + b):
                 failures.append(f"diagonal rate off at tau={tau} b={b}")
             rate_rows.append(_rate_row(codec))
 
@@ -367,18 +371,28 @@ def cmd_sweep(args) -> int:
     return 0 if not failures else _failed(f"{len(failures)} check(s) failed")
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+# The flags that fix a stream besides its sizes and seed, by dest. The
+# parser registers them from here, and a `verify` counterexample's replay
+# passes every one of them on to `simulate`.
+RUN_FLAGS = {
+    "codec": {"choices": CODEC_IDS},
+    "tau": {"type": int, "help": "worst-case delay, slots"},
+    "b": {"type": int, "help": "maximum burst length"},
+    "tau_l": {"type": int, "default": 0, "help": "lossless delay"},
+    "w": {"type": int, "help": "channel window (default tau+1)"},
+    "m": {"type": int, "help": "maximum message size"},
+    "t": {"type": int, "help": "final slot index, tail included"},
+    "field_degree": {"type": int, "default": 16},
+}
+
+
+def _add_common(sp: argparse.ArgumentParser, *run_flags: str, **specs: dict) -> None:
+    """--config and --out, which every subcommand takes, then the named
+    RUN_FLAGS, each with its keywords updated from `specs` by dest."""
     sp.add_argument("--config", default=None, help="JSON file with default flag values")
-    sp.add_argument("--tau", type=int, default=None, help="worst-case delay, slots")
-    sp.add_argument("--b", type=int, default=None, help="maximum burst length")
-    sp.add_argument("--tau-l", dest="tau_l", type=int, default=0, help="lossless delay")
-    sp.add_argument("--w", type=int, default=None, help="channel window (default tau+1)")
-    sp.add_argument("--m", type=int, default=None, help="maximum message size")
-    sp.add_argument("--field-degree", dest="field_degree", type=int, default=16)
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--d", type=int, default=None, help="block size for lemma schemes")
-    sp.add_argument("--codec", default=None, choices=CODEC_IDS)
+    for dest in run_flags:
+        sp.add_argument(_flag(dest), **{**RUN_FLAGS[dest], **specs.get(dest, {})})
 
 
 def _flag(dest: str) -> str:
@@ -391,7 +405,9 @@ def _require(args, *names: str) -> None:
         raise ConfigError("missing required option(s): " + ", ".join(map(_flag, missing)))
 
 
-def _add_sizes(sp: argparse.ArgumentParser) -> None:
+def _add_given_stream(sp: argparse.ArgumentParser) -> None:
+    """The flags only encode and simulate read: the sizes, the payload seed
+    and the offline schemes' block size."""
     sp.add_argument("--sizes", default=None, help="comma-separated message sizes")
     sp.add_argument("--sizes-file", dest="sizes_file", default=None)
     sp.add_argument(
@@ -401,7 +417,8 @@ def _add_sizes(sp: argparse.ArgumentParser) -> None:
         default=None,
         help="seed for random sizes (needs --t)",
     )
-    sp.add_argument("--t", type=int, default=None, help="final slot index, tail included")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--d", type=int, default=None, help="block size for lemma schemes")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -415,23 +432,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp = commands["encode"] = sub.add_parser(
         "encode", help="encode a stream and emit its transcript"
     )
-    _add_common(sp)
-    _add_sizes(sp)
+    _add_common(sp, *RUN_FLAGS)
+    _add_given_stream(sp)
     sp.set_defaults(func=cmd_encode)
 
     sp = commands["simulate"] = sub.add_parser(
         "simulate", help="encode, apply a loss pattern, decode"
     )
-    _add_common(sp)
-    _add_sizes(sp)
+    _add_common(sp, *RUN_FLAGS)
+    _add_given_stream(sp)
     sp.add_argument("--pattern", default=None, help="erased slots, e.g. 2,3")
     sp.set_defaults(func=cmd_simulate)
 
+    # no abbreviations, or the --seed that encode takes would read as --seeds
     sp = commands["verify"] = sub.add_parser(
-        "verify", help="exhaustive decode check over seeds"
+        "verify", help="exhaustive decode check over seeds", allow_abbrev=False
     )
-    _add_common(sp)
-    _add_sizes(sp)
+    # each seed draws its own sizes, so only the codecs that bind to any
+    # size sequence; an offline scheme binds to its prescribed one alone
+    _add_common(sp, *RUN_FLAGS, codec={"choices": ("vgms", "diagonal")})
     sp.add_argument("--seeds", type=int, default=20)
     sp.add_argument("--enumerate", choices=("single", "full"), default="full")
     sp.set_defaults(func=cmd_verify)
@@ -439,27 +458,23 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp = commands["gap"] = sub.add_parser(
         "gap", help="one online-vs-offline separation experiment"
     )
-    sp.add_argument("--config", default=None, help="JSON file with default flag values")
+    _add_common(sp, "field_degree")
     sp.add_argument("--lemma", default=None, choices=tuple(LEMMA_SCHEMES))
     sp.add_argument("--tau", type=int, default=None)
     sp.add_argument("--b", type=int, default=None)
     sp.add_argument("--tau-l", dest="tau_l", type=int, default=None)
     sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--field-degree", dest="field_degree", type=int, default=16)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_gap)
 
     sp = commands["sweep"] = sub.add_parser(
         "sweep", help="grid verification plus rate table"
     )
-    sp.add_argument("--config", default=None, help="JSON file with default flag values")
+    _add_common(sp, "field_degree", field_degree={"default": 8})
     sp.add_argument("--tau-max", dest="tau_max", type=int, default=4)
     sp.add_argument("--seeds", type=int, default=5)
     sp.add_argument("--t", type=int, default=9)
     sp.add_argument("--m", type=int, default=3)
     sp.add_argument("--d-max", dest="d_max", type=int, default=4)
-    sp.add_argument("--field-degree", dest="field_degree", type=int, default=8)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_sweep)
 
     return ap, commands
@@ -470,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
+        if args.config:
             _apply_config_file(args, commands[args.command])
             args = parser.parse_args(argv)
         return args.func(args)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import baselines
 from .baselines import REGIMES, classify_regime  # noqa: F401  (the regime rule lives there)
-from .gf import GF, field as make_field
+from .gf import GF
 
 
 @dataclass
@@ -46,13 +46,13 @@ def run_gap(
     lemma: str,
     tau: int,
     b: int,
-    tau_l: int | None = None,
-    d: int = 2,
-    fld: GF | None = None,
-    seed: int = 0,
+    tau_l: int | None,
+    d: int,
+    fld: GF,
 ) -> GapReport:
     """Build both reference schemes, pin their rates, and check separation.
 
+    A `tau_l` of None means tau - b, which only conv1 and conv2 allow.
     Every symbolic quantity is cross-checked against the schemes' actual
     transcripts: scheme 1 must spend exactly the budget in the contested
     prefix, scheme 2 must witness the demand.
@@ -62,9 +62,7 @@ def run_gap(
             raise ValueError(f"{lemma} needs an explicit tau_l")
         tau_l = tau - b
     sch1, sch2 = map(baselines.require_d_step, baselines.scheme_pair(lemma, tau, b, tau_l, d))
-    if fld is None:
-        fld = make_field(8)
-    st1, st2 = (baselines.offline_stream(sch, fld, seed) for sch in (sch1, sch2))
+    st1, st2 = (baselines.offline_stream(sch, fld) for sch in (sch1, sch2))
 
     rate1, rate2 = (Fraction(st.seq.total, sum(st.n_sizes)) for st in (st1, st2))
     want1, want2 = map(baselines.scheme_stated_rate, (sch1, sch2))

@@ -17,7 +17,7 @@ to the lower bound exactly and any other codec to dominance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .channel import enumerate_patterns, apply_pattern, erased_runs
@@ -86,11 +86,13 @@ def check_minimality(
 
 def profile_gap(codec) -> ProfileGap | None:
     """First slot where the codec's profile misses the lower bound, which
-    applies at tau_l = 0 only: exactly for "vgms", by dominance otherwise.
-    Reads `codec.name`, so forwarding wrappers count as the codec wrapped."""
-    if codec.params.tau_l != 0:
+    applies when the codec's own lossless delay `codec.tau_l` is 0 (the
+    online codec's always is, whatever its params say): exactly for
+    "vgms", by dominance otherwise. Reads `codec.name`, so forwarding
+    wrappers count as the codec wrapped."""
+    if codec.tau_l != 0:
         return None
-    lb = lower_bound_profile(codec.seq, codec.params)
+    lb = lower_bound_profile(codec.seq, replace(codec.params, tau_l=0))
     return check_minimality(cumulative_profile(codec.n_sizes), lb, exact=codec.name == "vgms")
 
 

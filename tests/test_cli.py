@@ -393,17 +393,20 @@ def corrupt_vgms_decode(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "codec,tau,b,break_it,status",
+    "codec,tau,b,tau_l,break_it,status",
     [
-        ("vgms", 3, 2, corrupt_vgms_decode, "counterexample"),
-        ("vgms", 3, 2, raise_lower_bound, "minimality-gap"),
+        ("vgms", 3, 2, 0, corrupt_vgms_decode, "counterexample"),
+        ("vgms", 3, 2, 0, raise_lower_bound, "minimality-gap"),
+        # the online codec decodes with zero lossless delay whatever --tau-l
+        # allows, so the bound holds it exactly there too
+        ("vgms", 4, 2, 1, raise_lower_bound, "minimality-gap"),
         # at b = tau the diagonal codec has zero lossless delay, so verify
         # holds it to the lower bound too (by dominance)
-        ("diagonal", 2, 2, raise_lower_bound, "minimality-gap"),
+        ("diagonal", 2, 2, 0, raise_lower_bound, "minimality-gap"),
     ],
 )
 def test_verify_failure_names_seed_and_sizes(
-    capsys, monkeypatch, codec, tau, b, break_it, status
+    capsys, monkeypatch, codec, tau, b, tau_l, break_it, status
 ):
     break_it(monkeypatch)
     code, out, err = run_cli(
@@ -412,6 +415,7 @@ def test_verify_failure_names_seed_and_sizes(
         "--codec", codec,
         "--tau", str(tau),
         "--b", str(b),
+        "--tau-l", str(tau_l),
         "--t", "8",
         "--seeds", "2",
         "--field-degree", "8",
@@ -488,6 +492,63 @@ def test_verify_counterexample_replays_under_simulate(capsys, monkeypatch, plant
     assert err == f"error: slot {failure['slot']}: {failure['reason']}\n"
     erased = [r["slot"] for r in map(json.loads, out.splitlines()[1:]) if r["erased"]]
     assert erased == failure["pattern"]
+
+
+def test_verify_replay_carries_every_run_flag(capsys, monkeypatch):
+    wrong_symbol_under_loss(monkeypatch)
+    run_flags = {"w": 6, "m": 3, "tau_l": 1, "field_degree": 8}
+    code, out, _ = run_cli(
+        capsys,
+        "verify",
+        "--codec", "vgms",
+        "--tau", "4",
+        "--b", "2",
+        "--t", "9",
+        "--seeds", "1",
+        "--w", "6",
+        "--m", "3",
+        "--tau-l", "1",
+        "--field-degree", "8",
+    )
+    assert code == 1
+    code, out, _ = run_cli(capsys, *json.loads(out)["failure"]["replay"])
+    assert code == 1
+    config = json.loads(out.splitlines()[0])["config"]
+    assert {key: config[key] for key in run_flags} == run_flags
+
+
+VERIFY_OK = ("verify", "--codec", "vgms", "--tau", "2", "--b", "1", "--t", "4", "--seeds", "1",
+             "--field-degree", "8")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--sizes", "9,9,9"],
+        ["--sizes-file", "{sizes}"],
+        ["--random-sizes", "3"],
+        ["--seed", "7"],
+        ["--d", "2"],
+        ["--codec", "lemma1_seq1"],
+        ["--config", "{config}"],
+    ],
+    ids=["sizes", "sizes-file", "random-sizes", "seed", "d", "offline-codec", "config-sizes"],
+)
+def test_verify_refuses_what_it_would_not_check(capsys, tmp_path, extra):
+    # verify draws each seed's sizes and payload itself, and an offline
+    # scheme binds to its prescribed sequence alone: none of these can be
+    # honoured, so each is refused rather than echoed and ignored
+    (tmp_path / "sizes.txt").write_text("9,9,9\n")
+    (tmp_path / "run.json").write_text(json.dumps({"sizes": "9,9,9"}))
+    paths = {"sizes": tmp_path / "sizes.txt", "config": tmp_path / "run.json"}
+    try:
+        code = main([*VERIFY_OK, *(x.format(**paths) for x in extra)])
+    except SystemExit as exc:  # argparse refuses the flag itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
 
 
 def test_random_sizes_run_to_t(capsys):

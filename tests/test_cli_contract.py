@@ -4,7 +4,9 @@ non-zero exit prints exactly one `error:` line.
 
 Each subcommand's flags get small, zero, negative, huge and non-numeric
 values, file flags point at good, malformed and missing files, and the
-flags come in any order. Runs are in process, so a traceback is an
+flags come in any order. The tables of flags list exactly the option
+strings the parser registers for each subcommand, which a second test
+checks, so a flag cannot be added or removed without the property seeing it. Runs are in process, so a traceback is an
 exception other than argparse's SystemExit escaping `main`.
 
 Huge values (2^62 and 10^20) are large enough that any allocation sized by
@@ -24,7 +26,7 @@ import json
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from streamfec.cli import main
+from streamfec.cli import build_parser, main
 from streamfec.codecs import CODEC_IDS
 from streamfec.gap import gap_cells
 
@@ -59,9 +61,11 @@ def file_flag(paths: dict[str, str], *names: str) -> st.SearchStrategy[str]:
     return st.sampled_from([paths[n] for n in names])
 
 
-def argv_strategy(paths: dict[str, str]) -> st.SearchStrategy[list[str]]:
-    common = {
-        "--config": file_flag(paths, "config", "config_bad_json", "config_list",
+def flag_tables(paths: dict[str, str]) -> dict[str, tuple[tuple[str, ...], dict]]:
+    """Per subcommand: the flags given more often, and a value strategy for
+    every flag it registers."""
+    run = {
+        "--config": file_flag(paths, "config", "config_run", "config_bad_json", "config_list",
                               "config_bad_type", "config_unknown_key", "missing", "dir"),
         "--tau": ints(1, 6),
         "--b": ints(1, 6),
@@ -70,45 +74,52 @@ def argv_strategy(paths: dict[str, str]) -> st.SearchStrategy[list[str]]:
         "--m": ints(1, 6, huge=False),
         "--field-degree": mostly(st.sampled_from(("8", "16", "4", "2", "1")), st.sampled_from(("17", "0", "-1") + HUGE + NON_NUMERIC)),
         "--out": file_flag(paths, "out", "dir", "missing_dir_out"),
-        "--seed": ints(0, 3),
-        "--d": ints(1, 8, huge=False),
         # the offline schemes accept only their own prescribed sequence
         "--codec": mostly(st.sampled_from(("vgms", "diagonal")), st.sampled_from(CODEC_IDS + ("nope",))),
+        "--t": ints(2, 12, huge=False),
+    }
+    given = {  # encode and simulate build the stream they are given
+        **run,
+        "--seed": ints(0, 3),
+        "--d": ints(1, 8, huge=False),
         "--sizes": int_list(0, 6),
         "--sizes-file": file_flag(paths, "sizes", "sizes_bad", "missing", "dir"),
         "--random-sizes": ints(0, 3),
-        "--t": ints(2, 12, huge=False),
     }
     likely = ("--codec", "--tau", "--b")  # given more often, so that runs get far
-    flags = {
-        "encode": (likely + ("--sizes",), common),
-        "simulate": (likely + ("--sizes", "--pattern"), {**common, "--pattern": int_list(0, 14)}),
+    return {
+        "encode": (likely + ("--sizes",), given),
+        "simulate": (likely + ("--sizes", "--pattern"), {**given, "--pattern": int_list(0, 14)}),
         "verify": (likely + ("--seeds", "--t"), {
-            **common,
+            **run,
             "--seeds": ints(1, 3, huge=False),
             "--enumerate": st.sampled_from(("single", "full", "both")),
         }),
         "gap": (("--lemma", "--tau", "--b"), {
-            "--config": common["--config"],
+            "--config": run["--config"],
             "--lemma": mostly(st.sampled_from(("conv1", "conv2", "conv3")), st.just("conv4")),
             "--tau": ints(2, 7),
             "--b": ints(1, 4),
             "--tau-l": ints(1, 5),
             "--d": ints(1, 8, huge=False),
-            "--field-degree": common["--field-degree"],
-            "--out": common["--out"],
+            "--field-degree": run["--field-degree"],
+            "--out": run["--out"],
         }),
         "sweep": (("--tau-max", "--seeds"), {
-            "--config": common["--config"],
+            "--config": run["--config"],
             "--tau-max": ints(2, 3, huge=False),
             "--seeds": ints(1, 2, huge=False),
             "--t": ints(3, 9, huge=False),
             "--m": ints(1, 4, huge=False),
             "--d-max": ints(2, 6, huge=False),
-            "--field-degree": common["--field-degree"],
-            "--out": common["--out"],
+            "--field-degree": run["--field-degree"],
+            "--out": run["--out"],
         }),
     }
+
+
+def argv_strategy(paths: dict[str, str]) -> st.SearchStrategy[list[str]]:
+    flags = flag_tables(paths)
 
     @st.composite
     def argv(draw) -> list[str]:
@@ -137,6 +148,7 @@ def make_files(root) -> dict[str, str]:
         "sizes": "3,2,1\n",
         "sizes_bad": "3,x\n",
         "config": json.dumps({"codec": "vgms", "tau": 3, "b": 2, "sizes": "2,1", "field_degree": 8}),
+        "config_run": json.dumps({"codec": "vgms", "tau": 3, "b": 2, "t": 5, "field_degree": 8}),
         "config_bad_json": "{",
         "config_list": "[1]",
         "config_bad_type": json.dumps({"tau": 4.5}),
@@ -190,3 +202,14 @@ def test_every_argv_exits_0_1_or_2_with_one_error_line(tmp_path):
             assert len(errors) == 1, (argv, code, err)
 
     check()
+
+
+def test_flag_tables_list_exactly_the_parsers_flags(tmp_path):
+    # a flag the parser gains or drops must reach the tables above, or the
+    # property would stop drawing it, or keep drawing one that is gone
+    _, commands = build_parser()
+    tables = flag_tables(make_files(tmp_path))
+    assert sorted(tables) == sorted(commands)
+    for command, sp in commands.items():
+        registered = {s for action in sp._actions for s in action.option_strings}
+        assert set(tables[command][1]) == registered - {"-h", "--help"}, command

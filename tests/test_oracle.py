@@ -96,7 +96,9 @@ def stand_in(codec, name, extra_at=None, delta=0):
     n_sizes = list(codec.n_sizes)
     if extra_at is not None:
         n_sizes[extra_at] += delta
-    return SimpleNamespace(name=name, params=codec.params, seq=codec.seq, n_sizes=n_sizes)
+    return SimpleNamespace(
+        name=name, params=codec.params, tau_l=codec.tau_l, seq=codec.seq, n_sizes=n_sizes
+    )
 
 
 @pytest.mark.parametrize(
