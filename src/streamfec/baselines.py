@@ -21,7 +21,7 @@ from fractions import Fraction
 from .cauchy import build_cauchy
 from .gf import GF
 from .linear import in_rowspace
-from .model import CodeParams, SizeSequence, require_valid, symbol_offsets, terminate_sizes
+from .model import CodeParams, SizeSequence, symbol_offsets, terminate_sizes
 
 Row = dict[int, int]  # flat message symbol index -> coefficient
 
@@ -96,9 +96,9 @@ def diagonal_stream(p: CodeParams, seq: SizeSequence) -> LinearStream:
     transmitted (as constant zeros) and counted in the rate. Contributions
     landing on one slot are concatenated in source-slot order. At most one
     scheduled slot per message can be erased by an admissible pattern, so
-    the sum packet always completes the message within delay tau.
+    the sum packet always completes the message within delay tau. The
+    params and their sequence are checked by `codecs.bind_codec`.
     """
-    require_valid(p)
     if p.tau % p.b != 0:
         raise ValueError(f"diagonal scheme needs b | tau, got tau={p.tau}, b={p.b}")
     if p.tau_l != p.tau - p.b:
@@ -106,11 +106,9 @@ def diagonal_stream(p: CodeParams, seq: SizeSequence) -> LinearStream:
             f"diagonal scheme has lossless delay tau - b = {p.tau - p.b}, "
             f"params say {p.tau_l}"
         )
-    if seq.t != p.t:
-        raise ValueError("sequence/params length mismatch")
     q = p.tau // p.b
     off = symbol_offsets(seq)
-    contributions: list[list[tuple[int, list[Row]]]] = [[] for _ in range(seq.t + 1)]
+    slot_rows: list[list[Row]] = [[] for _ in range(seq.t + 1)]  # filled in source-slot order
     for i in range(seq.t + 1):
         k = seq.size(i)
         if k == 0:
@@ -126,7 +124,7 @@ def diagonal_stream(p: CodeParams, seq: SizeSequence) -> LinearStream:
                 {off[i] + z * comp + r: 1} if z * comp + r < k else {}
                 for r in range(comp)
             ]
-            contributions[i + z * p.b].append((i, rows))
+            slot_rows[i + z * p.b].extend(rows)
         sum_rows: list[Row] = []
         for r in range(comp):
             row: Row = {}
@@ -134,13 +132,7 @@ def diagonal_stream(p: CodeParams, seq: SizeSequence) -> LinearStream:
                 if z * comp + r < k:
                     row[off[i] + z * comp + r] = 1
             sum_rows.append(row)
-        contributions[i + p.tau].append((i, sum_rows))
-    slot_rows: list[list[Row]] = []
-    for per_slot in contributions:
-        rows: list[Row] = []
-        for _, item in sorted(per_slot, key=lambda sr: sr[0]):
-            rows.extend(item)
-        slot_rows.append(rows)
+        slot_rows[i + p.tau].extend(sum_rows)
     return LinearStream(seq, p.tau - p.b, slot_rows)
 
 
@@ -167,16 +159,6 @@ class BlockCode:
     field: GF
     coeffs: list[list[int]]  # b rows x tau cols; parity l = sum coeffs[l][j]*s_j
     verified: bool
-
-    def encode(self, word: list[int]) -> list[int]:
-        if len(word) != self.tau:
-            raise ValueError(f"block code takes {self.tau} symbols")
-        f = self.field
-        parities = [
-            _eval_row(f, {j: c for j, c in enumerate(row) if c}, word)
-            for row in self.coeffs
-        ]
-        return list(word) + parities
 
 
 def block_delay_violations(code: BlockCode) -> list[tuple[int, int, int]]:

@@ -1,4 +1,5 @@
-"""Burst loss channel: admissibility, enumeration, application.
+"""Burst loss channel: admissibility, enumeration, application, and the
+check of a received list against its stream.
 
 A loss pattern is a set of erased slot indices. It is admissible when every
 sliding window of `w` consecutive slots contains at most one contiguous run
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+from .gf import GF, in_field
 from .model import CodeParams
 
 FULL_ENUMERATION_CAP = 24  # slots; 2^(t+1) explodes past this
@@ -84,6 +86,25 @@ def enumerate_patterns(p: CodeParams, mode: str) -> Iterator[tuple[int, ...]]:
     if mode == "full":
         return all_patterns(p)
     raise ValueError(f"unknown enumeration mode {mode!r} (want 'single' or 'full')")
+
+
+def check_received(
+    received: Sequence[Sequence[int] | None], n_sizes: Sequence[int], fld: GF
+) -> tuple[int, ...]:
+    """The erased slots of a received list, once the list is checked: it
+    covers every slot of `n_sizes`, and each received packet has its slot's
+    length and only symbols of `fld`. Raises ValueError otherwise."""
+    if len(received) != len(n_sizes):
+        raise ValueError("received list must cover slots 0..t")
+    erased = []
+    for i, pkt in enumerate(received):
+        if pkt is None:
+            erased.append(i)
+        elif len(pkt) != n_sizes[i]:
+            raise ValueError(f"packet at slot {i} has unexpected length")
+        elif not in_field(fld, pkt):
+            raise ValueError(f"packet at slot {i} has an out-of-field symbol")
+    return tuple(erased)
 
 
 def apply_pattern(erased: Sequence[int], packets: Sequence) -> list:

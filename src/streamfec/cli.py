@@ -11,10 +11,12 @@ reproduces byte-identical outputs.
 Every stream is built by `_build_stream` from its raw sizes, a seed and
 the run values: the sizes that `encode` and `simulate` are given (by
 `--sizes`, `--sizes-file` or `--random-sizes`), and each seed's random
-draw in `verify` and `sweep`. Each subcommand registers only the flags it
-reads. `verify` draws its own sizes and payloads, so it takes no size
-flags, no `--seed` and no `--d`, and of the codecs only `vgms` and
-`diagonal`, the two that bind to any size sequence.
+draw in `verify` and `sweep`. `codecs.bind_codec` checks the binding, so
+a `--d` given to a codec that takes no block size exits 2. Each
+subcommand registers only the flags it reads. `verify` draws its own
+sizes and payloads, so it takes no size flags, no `--seed` and no `--d`,
+and of the codecs only `vgms` and `diagonal`, the two that bind to any
+size sequence.
 
 `simulate` judges its one decode by `oracle.judge_decode`, the verdict the
 `verify` replay loop applies to every pattern. The `replay` argv that a
@@ -44,7 +46,6 @@ from .model import (
     make_params,
     random_payload,
     random_sizes,
-    require_valid,
     stream_rate,
     terminate_sizes,
     transcript_records_json,
@@ -113,7 +114,6 @@ def _build_stream(raw: list[int], seed: int, run: dict):
     m = run["m"] if run["m"] is not None else max(max(raw), 1)
     seq = terminate_sizes(raw, run["tau"], m)
     p = make_params(run["tau"], run["b"], tau_l=run["tau_l"], w=run.get("w"), m=m, t=seq.t)
-    require_valid(p)
     fld = field(run["field_degree"])
     codec = bind_codec(run["codec"], p, fld, seq, d=run.get("d"), seed=seed)
     return codec, random_payload(seq, fld, seed)

@@ -6,6 +6,18 @@ computed once per binding, so the verification oracles and the CLI
 can drive any codec the same way. The structured codec carries its own
 two-phase decoder; the linear schemes decode through incremental
 elimination, which certifies information-theoretic decodability.
+
+Each fact about a stream is checked once, where the stream enters a codec:
+- `bind_codec` checks the binding for all eight codecs: valid params
+  (`model.require_valid`), a sequence of the params' length t, no message
+  above m, and a block size d given to the offline schemes alone.
+- `channel.check_received` checks a received list (its length, each
+  packet's length against n_sizes, and the field) for both decoders, and
+  returns the erased slots. Only the VGMS decoder then requires an
+  admissible pattern; `LinearCodec` decodes any erasure set.
+`vgms.VgmsLayout` keeps its own params and m checks, since the online
+`vgms.VgmsEncoder` takes no binding, and `oracle.lower_bound_profile` keeps
+its own, since the oracle stays independent of the codecs.
 """
 
 from __future__ import annotations
@@ -14,9 +26,10 @@ from typing import Sequence
 
 from . import baselines, vgms
 from .cauchy import build_cauchy
+from .channel import check_received
 from .gf import GF, in_field
 from .linear import IncrementalDecoder, InconsistentSystemError
-from .model import CodeParams, SizeSequence, symbol_offsets
+from .model import CodeParams, SizeSequence, require_valid, symbol_offsets
 from .vgms import DecodeResult
 
 CODEC_IDS = ("vgms", "diagonal") + baselines.SCHEME_IDS
@@ -34,7 +47,7 @@ class VgmsCodec:
         self.layout = vgms.packet_layout(seq, p)
         self.matrix = build_cauchy(p.tau * p.m, fld, seed)
         self.tau_l = 0
-        self._n_sizes = [self.layout.n_size(i) for i in range(seq.t + 1)]
+        self._n_sizes = self.layout.n_sizes
 
     @property
     def n_sizes(self) -> list[int]:
@@ -95,14 +108,12 @@ class LinearCodec:
         determined, so nothing is asked twice and the basis is never
         rescanned.
 
-        Raises ValueError for a received list or packet of the wrong length,
-        an out-of-field symbol, or packets that contradict each other
-        ("received packets are inconsistent"), as a corrupted symbol makes
-        them.
+        Raises ValueError for a received list that `channel.check_received`
+        refuses, or for packets that contradict each other ("received
+        packets are inconsistent"), as a corrupted symbol makes them.
         """
+        check_received(received, self._n_sizes, self.field)
         seq = self.seq
-        if len(received) != seq.t + 1:
-            raise ValueError("received list must cover slots 0..t")
         off = self._offsets
         n_msg = off[-1]
         dec = IncrementalDecoder(self.field, n_msg)
@@ -113,12 +124,7 @@ class LinearCodec:
         open_msgs: list[int] = []
         for s, pkt in enumerate(received):
             if pkt is not None:
-                rows = self.stream.slot_rows[s]
-                if len(pkt) != len(rows):
-                    raise ValueError(f"packet at slot {s} has unexpected length")
-                if not in_field(self.field, pkt):
-                    raise ValueError(f"packet at slot {s} has an out-of-field symbol")
-                for row, val in zip(rows, pkt):
+                for row, val in zip(self.stream.slot_rows[s], pkt):
                     dense = [0] * n_msg
                     for idx, c in row.items():
                         dense[idx] = c
@@ -157,11 +163,16 @@ def bind_codec(
     d: int | None = None,
     seed: int = 0,
 ):
-    """Bind a codec to one (params, field, sequence) run."""
-    if codec_id == "vgms":
-        return VgmsCodec(p, fld, seq, seed)
-    if codec_id == "diagonal":
-        return LinearCodec(codec_id, p, fld, baselines.diagonal_stream(p, seq))
+    """Bind a codec to one (params, field, sequence) run: the one check
+    that the three agree, for every codec (see the module docstring)."""
+    if codec_id not in CODEC_IDS:
+        raise ValueError(f"unknown codec {codec_id!r}; known: {', '.join(CODEC_IDS)}")
+    require_valid(p)
+    if seq.t != p.t:
+        raise ValueError(f"sequence has t={seq.t} but params have t={p.t}")
+    over = next((i for i, k in enumerate(seq) if k > p.m), None)
+    if over is not None:
+        raise ValueError(f"message size {seq.size(over)} at slot {over} exceeds m={p.m}")
     if codec_id in baselines.SCHEME_IDS:
         if d is None:
             raise ValueError(f"{codec_id} needs the block size d")
@@ -172,4 +183,8 @@ def bind_codec(
                 f"{list(sch.sequence)}, got {list(seq)}"
             )
         return LinearCodec(codec_id, p, fld, baselines.offline_stream(sch, fld, seed))
-    raise ValueError(f"unknown codec {codec_id!r}; known: {', '.join(CODEC_IDS)}")
+    if d is not None:
+        raise ValueError(f"{codec_id} takes no block size d")
+    if codec_id == "vgms":
+        return VgmsCodec(p, fld, seq, seed)
+    return LinearCodec(codec_id, p, fld, baselines.diagonal_stream(p, seq))

@@ -39,7 +39,7 @@ from itertools import chain
 from typing import Sequence
 
 from .cauchy import CauchyMatrix
-from .channel import erased_runs, is_admissible
+from .channel import check_received, erased_runs, is_admissible
 from .gf import in_field
 from .model import CodeParams, SizeSequence, require_valid
 
@@ -63,6 +63,7 @@ class VgmsLayout:
         self.tail_sizes: list[int] = []  # remainder, recovered at exactly tau
         # indexed 0..t+tau; slots beyond t are never sent
         self.parity_sizes: list[int] = [0] * p.tau
+        self.n_sizes: list[int] = []  # channel packet size of each split slot
         # spare-parity minimum at each split, None before slot b
         self.budgets: list[int | None] = []
 
@@ -85,10 +86,11 @@ class VgmsLayout:
         self.tail_sizes.append(k - head)
         self.parity_sizes.append(k - head)  # lands at slot i + tau
         self.budgets.append(budget)
+        self.n_sizes.append(k + self.parity_sizes[i])  # slot i's parity is set by now
         return head
 
     def n_size(self, i: int) -> int:
-        return self.k_sizes[i] + self.parity_sizes[i]
+        return self.n_sizes[i]
 
     def trace(self) -> list[dict]:
         sizes = zip(self.k_sizes, self.tail_sizes, self.head_sizes, self.parity_sizes)
@@ -118,9 +120,8 @@ def packet_layout(seq: SizeSequence, p: CodeParams) -> VgmsLayout:
 
     The receiver's layout: the split depends only on the size sequence,
     which is public side information, so one layout serves every decode.
+    `codecs.bind_codec` checks that the sequence is the params' length.
     """
-    if seq.t != p.t:
-        raise ValueError(f"sequence has t={seq.t} but params have t={p.t}")
     layout = VgmsLayout(p)
     for k in seq:
         layout.split(k)
@@ -232,27 +233,19 @@ def decode_stream(
     t, tau = p.t, p.tau
     if len(layout.k_sizes) != t + 1:
         raise ValueError("layout must cover slots 0..t")
-    if len(received) != t + 1:
-        raise ValueError("received list must cover slots 0..t")
-    erased = tuple(i for i, pkt in enumerate(received) if pkt is None)
+    erased = check_received(received, layout.n_sizes, matrix.field)
     if not is_admissible(erased, p):
         raise ValueError("loss pattern is not admissible for this channel")
 
     k_sizes, head_sizes, tail_sizes = layout.k_sizes, layout.head_sizes, layout.tail_sizes
     parity_sizes = layout.parity_sizes
-    fld = matrix.field
     messages: list[list[int] | None] = [None] * (t + 1)
     times: list[int | None] = [None] * (t + 1)
     for i, pkt in enumerate(received):
-        if pkt is None:
-            continue
-        if len(pkt) != k_sizes[i] + parity_sizes[i]:
-            raise ValueError(f"packet at slot {i} has unexpected length")
-        if not in_field(fld, pkt):
-            raise ValueError(f"packet at slot {i} has an out-of-field symbol")
-        msg = pkt[: k_sizes[i]]
-        messages[i] = msg if type(msg) is list else list(msg)
-        times[i] = i
+        if pkt is not None:
+            msg = pkt[: k_sizes[i]]
+            messages[i] = msg if type(msg) is list else list(msg)
+            times[i] = i
 
     # per slot: head terms once built, and an erased slot's recovered pieces
     terms: list[list[tuple[int, int]] | None] = [None] * (t + 1)

@@ -81,9 +81,6 @@ def test_block_code_tiny():
     assert code.verified
     # single parity; every single erasure among 3 positions is recoverable
     assert block_delay_violations(code) == []
-    word = [5, 9]
-    cw = code.encode(word)
-    assert cw[:2] == word and len(cw) == 3
 
 
 def test_block_code_mid_grid_verified():
@@ -110,12 +107,6 @@ def test_block_code_corruption_detected():
     )
     broken.coeffs[0] = [0] * code.tau  # parity 0 carries nothing
     assert block_delay_violations(broken)
-
-
-def test_block_code_encode_wrong_length():
-    code = build_block_code(2, 1, GF(8), seed=0)
-    with pytest.raises(ValueError):
-        code.encode([1, 2, 3])
 
 
 # --- offline schemes ----------------------------------------------------------

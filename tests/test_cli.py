@@ -551,6 +551,25 @@ def test_verify_refuses_what_it_would_not_check(capsys, tmp_path, extra):
     assert captured.err.count("error:") == 1
 
 
+@pytest.mark.parametrize("codec,tau_l", [("vgms", "0"), ("diagonal", "1")])
+def test_encode_refuses_a_block_size_the_codec_does_not_read(capsys, codec, tau_l):
+    # only the offline schemes read --d; echoing it for another codec
+    # would claim a block size no stream used
+    code, out, err = run_cli(
+        capsys,
+        "encode",
+        "--codec", codec,
+        "--tau", "2",
+        "--b", "1",
+        "--tau-l", tau_l,
+        "--sizes", "1",
+        "--d", "5",
+        "--field-degree", "8",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {codec} takes no block size d\n"
+
+
 def test_random_sizes_run_to_t(capsys):
     # seed 4 draws 1,2,0,3,3,1,0,0, which already ends in tau zeros; the
     # stream still gets its tail, so the transcript covers slots 0..t

@@ -212,13 +212,6 @@ def test_matrix_of_the_wrong_size_rejected():
         VgmsEncoder(p, small)
 
 
-def test_layout_rejects_a_sequence_of_another_length():
-    p, fld, seq, _ = ref_setup()
-    longer = terminate_sizes(REF_SIZES + [1], 4, 3)
-    with pytest.raises(ValueError, match="sequence has t="):
-        packet_layout(longer, p)
-
-
 def test_symbols_are_checked_against_the_matrix_field():
     # a GF(2^16) symbol does not fit the GF(2^8) matrix of the reference setup
     p, fld, seq, matrix = ref_setup()
