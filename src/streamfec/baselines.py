@@ -352,14 +352,6 @@ def scheme_raw_sizes(sch: OfflineScheme) -> list[int]:
     return [d] * (tau - tau_l - 1) + [d * (tau_l + 1)]
 
 
-def lemma_sequences(
-    lemma: str, tau: int, b: int, tau_l: int, d: int
-) -> tuple[SizeSequence, SizeSequence]:
-    """The prescribed pair of (terminated) size sequences for one lemma."""
-    first, second = scheme_pair(lemma, tau, b, tau_l, d)
-    return first.sequence, second.sequence
-
-
 def _split_then_block_stream(
     sch: OfflineScheme, seq: SizeSequence, fld: GF, seed: int
 ) -> LinearStream:

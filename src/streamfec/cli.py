@@ -13,10 +13,13 @@ the run values: the sizes that `encode` and `simulate` are given (by
 `--sizes`, `--sizes-file` or `--random-sizes`), and each seed's random
 draw in `verify` and `sweep`. `codecs.bind_codec` checks the binding, so
 a `--d` given to a codec that takes no block size exits 2. Each
-subcommand registers only the flags it reads. `verify` draws its own
-sizes and payloads, so it takes no size flags, no `--seed` and no `--d`,
-and of the codecs only `vgms` and `diagonal`, the two that bind to any
-size sequence.
+subcommand registers only the flags it reads, and none accepts an
+abbreviated flag. `verify` draws its own sizes and payloads, so it takes
+no size flags, no `--seed` and no `--d`, and of the codecs only `vgms`
+and `diagonal`, the two that bind to any size sequence.
+
+The output formats live here: the transcript JSONL of `encode` and
+`simulate`, the rate table of `sweep` and the CSV of `gap`.
 
 `simulate` judges its one decode by `oracle.judge_decode`, the verdict the
 `verify` replay loop applies to every pattern. The `replay` argv that a
@@ -48,7 +51,6 @@ from .model import (
     random_sizes,
     stream_rate,
     terminate_sizes,
-    transcript_records_json,
 )
 from .vgms import DecodeFailure
 
@@ -192,9 +194,14 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _transcript_text(tr, config: dict, **header) -> str:
+def _transcript_text(codec, tr, config: dict, **header) -> str:
+    """JSONL: the header, then one row per slot, merged with the codec's
+    own `trace()` row (the VGMS layout) where it has one."""
+    layout = codec.trace() if hasattr(codec, "trace") else None
     lines = [json.dumps({"config": config, **header}, sort_keys=True)]
-    lines += [json.dumps(row, sort_keys=True) for row in transcript_records_json(tr)]
+    for rec in tr.records:
+        row = dataclasses.asdict(rec) | (layout[rec.slot] if layout else {})
+        lines.append(json.dumps(row, sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
@@ -211,8 +218,9 @@ def emit_rate_table(results: list[dict], config: dict) -> str:
 
 
 def _rate_row(codec) -> dict:
+    """The totals stay unreduced (9/15); a stream that sends nothing reads
+    0/0 with no decimal."""
     p, seq = codec.params, codec.seq
-    num = seq.total
     den = sum(codec.n_sizes)
     return {
         "codec": codec.name,
@@ -222,8 +230,8 @@ def _rate_row(codec) -> dict:
         "m": p.m,
         "t": p.t,
         "sizes": ",".join(str(k) for k in seq),
-        "rate": f"{num}/{den}",
-        "rate_decimal": f"{num / den:.6f}" if den else "",
+        "rate": f"{seq.total}/{den}",
+        "rate_decimal": f"{float(stream_rate(seq, codec.n_sizes)):.6f}" if den else "",
     }
 
 
@@ -235,16 +243,15 @@ def _transcript_run(args, pattern: tuple[int, ...]):
     if not is_admissible(pattern, p):
         raise ConfigError(f"pattern {list(pattern)} is not admissible for C(b={p.b}, w={p.w})")
     result = codec.decode(apply_pattern(pattern, codec.encode(payload)))
-    layout = codec.trace() if hasattr(codec, "trace") else None
-    tr = build_transcript(p, codec.seq, codec.n_sizes, pattern, result.decode_times, layout)
+    tr = build_transcript(p, codec.seq, codec.n_sizes, pattern, result.decode_times)
     return codec, payload, result, tr
 
 
 def cmd_encode(args) -> int:
     codec, _, _, tr = _transcript_run(args, ())
-    stream_rate(tr)  # a stream that sends no channel symbols has no rate
+    stream_rate(codec.seq, codec.n_sizes)  # a stream that sends nothing has no rate
     row = _rate_row(codec)
-    _emit(args, _transcript_text(tr, _config_dict(args), rate=row["rate"]))
+    _emit(args, _transcript_text(codec, tr, _config_dict(args), rate=row["rate"]))
     print(f"rate {row['rate']} ({row['rate_decimal']})", file=sys.stderr)
     return 0
 
@@ -252,7 +259,7 @@ def cmd_encode(args) -> int:
 def cmd_simulate(args) -> int:
     pattern = tuple(_parse_int_list(args.pattern)) if args.pattern else ()
     codec, payload, result, tr = _transcript_run(args, pattern)
-    _emit(args, _transcript_text(tr, _config_dict(args)))
+    _emit(args, _transcript_text(codec, tr, _config_dict(args)))
     bad = oracle.judge_decode(codec, pattern, result, payload)
     return 0 if bad is None else _failed(f"slot {bad.slot}: {bad.reason}")
 
@@ -308,8 +315,9 @@ def cmd_gap(args) -> int:
     _require(args, "lemma", "tau", "b")
     fld = field(args.field_degree)
     report = gap_mod.run_gap(args.lemma, args.tau, args.b, args.tau_l, args.d, fld)
-    rows = gap_mod.report_csv_rows([report])
-    _emit(args, emit_rate_table(rows, _config_dict(args)))
+    row = dataclasses.asdict(report)
+    del row["details"]
+    _emit(args, emit_rate_table([row], _config_dict(args)))
     return 0 if report.separated else _failed(f"{args.lemma} rates are not separated")
 
 
@@ -340,7 +348,7 @@ def cmd_sweep(args) -> int:
             bad = oracle.verify_stream(codec, payload, "full")
             if bad is not None:
                 failures.append(f"diagonal tau={tau} b={b}: {bad!r}")
-            if Fraction(codec.seq.total, sum(codec.n_sizes)) != Fraction(tau, tau + b):
+            if stream_rate(codec.seq, codec.n_sizes) != Fraction(tau, tau + b):
                 failures.append(f"diagonal rate off at tau={tau} b={b}")
             rate_rows.append(_rate_row(codec))
 
@@ -429,53 +437,43 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = ap.add_subparsers(dest="command", required=True)
     commands = {}
 
-    sp = commands["encode"] = sub.add_parser(
-        "encode", help="encode a stream and emit its transcript"
-    )
+    def command(name: str, summary: str, func) -> argparse.ArgumentParser:
+        # no abbreviations: a prefix such as --seed must not read as --seeds
+        sp = commands[name] = sub.add_parser(name, help=summary, allow_abbrev=False)
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = command("encode", "encode a stream and emit its transcript", cmd_encode)
     _add_common(sp, *RUN_FLAGS)
     _add_given_stream(sp)
-    sp.set_defaults(func=cmd_encode)
 
-    sp = commands["simulate"] = sub.add_parser(
-        "simulate", help="encode, apply a loss pattern, decode"
-    )
+    sp = command("simulate", "encode, apply a loss pattern, decode", cmd_simulate)
     _add_common(sp, *RUN_FLAGS)
     _add_given_stream(sp)
     sp.add_argument("--pattern", default=None, help="erased slots, e.g. 2,3")
-    sp.set_defaults(func=cmd_simulate)
 
-    # no abbreviations, or the --seed that encode takes would read as --seeds
-    sp = commands["verify"] = sub.add_parser(
-        "verify", help="exhaustive decode check over seeds", allow_abbrev=False
-    )
+    sp = command("verify", "exhaustive decode check over seeds", cmd_verify)
     # each seed draws its own sizes, so only the codecs that bind to any
     # size sequence; an offline scheme binds to its prescribed one alone
     _add_common(sp, *RUN_FLAGS, codec={"choices": ("vgms", "diagonal")})
     sp.add_argument("--seeds", type=int, default=20)
     sp.add_argument("--enumerate", choices=("single", "full"), default="full")
-    sp.set_defaults(func=cmd_verify)
 
-    sp = commands["gap"] = sub.add_parser(
-        "gap", help="one online-vs-offline separation experiment"
-    )
+    sp = command("gap", "one online-vs-offline separation experiment", cmd_gap)
     _add_common(sp, "field_degree")
     sp.add_argument("--lemma", default=None, choices=tuple(LEMMA_SCHEMES))
     sp.add_argument("--tau", type=int, default=None)
     sp.add_argument("--b", type=int, default=None)
     sp.add_argument("--tau-l", dest="tau_l", type=int, default=None)
     sp.add_argument("--d", type=int, default=2)
-    sp.set_defaults(func=cmd_gap)
 
-    sp = commands["sweep"] = sub.add_parser(
-        "sweep", help="grid verification plus rate table"
-    )
+    sp = command("sweep", "grid verification plus rate table", cmd_sweep)
     _add_common(sp, "field_degree", field_degree={"default": 8})
     sp.add_argument("--tau-max", dest="tau_max", type=int, default=4)
     sp.add_argument("--seeds", type=int, default=5)
     sp.add_argument("--t", type=int, default=9)
     sp.add_argument("--m", type=int, default=3)
     sp.add_argument("--d-max", dest="d_max", type=int, default=4)
-    sp.set_defaults(func=cmd_sweep)
 
     return ap, commands
 

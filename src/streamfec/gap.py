@@ -21,10 +21,13 @@ from fractions import Fraction
 from . import baselines
 from .baselines import REGIMES, classify_regime  # noqa: F401  (the regime rule lives there)
 from .gf import GF
+from .model import stream_rate
 
 
 @dataclass
 class GapReport:
+    # the fields before `details`, in this order, are the columns of the
+    # CSV that `streamfec gap` writes
     lemma: str
     tau: int
     b: int
@@ -64,7 +67,7 @@ def run_gap(
     sch1, sch2 = map(baselines.require_d_step, baselines.scheme_pair(lemma, tau, b, tau_l, d))
     st1, st2 = (baselines.offline_stream(sch, fld) for sch in (sch1, sch2))
 
-    rate1, rate2 = (Fraction(st.seq.total, sum(st.n_sizes)) for st in (st1, st2))
+    rate1, rate2 = (stream_rate(st.seq, st.n_sizes) for st in (st1, st2))
     want1, want2 = map(baselines.scheme_stated_rate, (sch1, sch2))
     if rate1 != want1 or rate2 != want2:
         raise GapCheckError(
@@ -150,23 +153,3 @@ def gap_cells(tau_max: int, d_max: int) -> list[tuple[str, int, int, int, int]]:
         step = math.lcm(*(sch.d_step for sch in pair))
         cells.extend((regime, tau, b, tau_l, d) for d in range(step, d_max + 1, step))
     return cells
-
-
-def report_csv_rows(reports: list[GapReport]) -> list[dict]:
-    rows = []
-    for r in reports:
-        rows.append(
-            {
-                "lemma": r.lemma,
-                "tau": r.tau,
-                "b": r.b,
-                "tau_l": r.tau_l,
-                "d": r.d,
-                "rate1": str(r.rate1),
-                "rate2": str(r.rate2),
-                "budget": str(r.budget),
-                "demand": str(r.demand),
-                "separated": r.separated,
-            }
-        )
-    return rows

@@ -1,11 +1,17 @@
-"""Stream model: parameters, size sequences, transcripts, rates, deadlines.
+"""Stream model: parameters, size sequences, rates, deadlines.
 
 A stream is t+1 time slots. At slot i the sender gets a message packet of
 k_i symbols and emits a channel packet of n_i symbols that may only depend
 on messages 0..i. Two deadlines apply: every message must be decodable
 within `tau` slots under any admissible loss, and within `tau_l` slots when
 nothing is lost. Rates are kept as exact rationals because the optimality
-comparisons downstream hinge on exact ties.
+comparisons downstream hinge on exact ties; `stream_rate` is the one rate
+rule.
+
+`Transcript`, `build_transcript` and `check_delays` serve only the CLI's
+transcripts and `perfbench`'s vgms-bulk workload, which calls the last two
+by name. They stay here until that workload judges its decodes by
+`oracle.judge_decode`; the transcript's JSON is written by `cli`.
 """
 
 from __future__ import annotations
@@ -163,7 +169,6 @@ class Transcript:
 
     params: CodeParams
     records: list[SlotRecord]
-    layout: list[dict] | None = None
 
     @property
     def k_sizes(self) -> list[int]:
@@ -176,23 +181,21 @@ def build_transcript(
     n_sizes: Sequence[int],
     erased: Iterable[int],
     decode_times: Sequence[int | None],
-    layout: list[dict] | None = None,
 ) -> Transcript:
     lost = set(erased)
     records = [
         SlotRecord(i, seq.size(i), n_sizes[i], i in lost, decode_times[i])
         for i in range(seq.t + 1)
     ]
-    return Transcript(params, records, layout)
+    return Transcript(params, records)
 
 
-def stream_rate(tr: Transcript) -> Fraction:
+def stream_rate(seq: SizeSequence, n_sizes: Sequence[int]) -> Fraction:
     """Total message symbols over total channel symbols, exactly."""
-    num = sum(r.k for r in tr.records)
-    den = sum(r.n for r in tr.records)
+    den = sum(n_sizes)
     if den == 0:
         raise ValueError("rate undefined: no channel symbols were sent")
-    return Fraction(num, den)
+    return Fraction(seq.total, den)
 
 
 def deadline_violation(
@@ -238,19 +241,3 @@ def symbol_offsets(seq: SizeSequence) -> list[int]:
     for k in seq:
         off.append(off[-1] + k)
     return off
-
-
-def transcript_records_json(tr: Transcript) -> list[dict]:
-    rows = []
-    for rec in tr.records:
-        row = {
-            "slot": rec.slot,
-            "k": rec.k,
-            "n": rec.n,
-            "erased": rec.erased,
-            "decode_time": rec.decode_time,
-        }
-        if tr.layout is not None:
-            row.update(tr.layout[rec.slot])
-        rows.append(row)
-    return rows

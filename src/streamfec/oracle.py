@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .channel import enumerate_patterns, apply_pattern, erased_runs
+from .channel import enumerate_patterns, apply_pattern
 from .model import CodeParams, SizeSequence, deadline_violation, require_valid
 from .vgms import DecodeFailure, DecodeResult
 
@@ -162,20 +162,3 @@ def verify_stream(
     the profile meets the lower bound where it applies. First failure."""
     bad = exhaustive_decode_check(codec, payload, mode)
     return bad if bad is not None else profile_gap(codec)
-
-
-def decoded_before_burst(
-    decode_times: Sequence[int | None], pattern: Sequence[int]
-) -> bool:
-    """With a single burst starting at j: is everything before slot j
-    already decoded by slot j-1? Vacuously true for the empty pattern."""
-    runs = erased_runs(pattern)
-    if not runs:
-        return True
-    if len(runs) > 1:
-        raise ValueError("expected a single-burst pattern")
-    start = runs[0][0]
-    return all(
-        decode_times[i] is not None and decode_times[i] <= start - 1
-        for i in range(start)
-    )

@@ -9,7 +9,6 @@ from streamfec.baselines import (
     BlockCode,
     block_delay_violations,
     build_block_code,
-    lemma_sequences,
     make_scheme,
     offline_stream,
     scheme_pair,
@@ -113,19 +112,19 @@ def test_block_code_corruption_detected():
 
 
 def test_lemma1_sequences_worked_example():
-    seq1, seq2 = lemma_sequences("conv1", 5, 2, 3, 2)
+    seq1, seq2 = (sch.sequence for sch in scheme_pair("conv1", 5, 2, 3, 2))
     assert list(seq1) == [2, 0, 0, 0, 0, 0]
     assert list(seq2) == [2, 8, 0, 0, 0, 0, 0]
 
 
 def test_lemma3_sequences_worked_example():
-    seq1, seq2 = lemma_sequences("conv3", 4, 2, 1, 1)
+    seq1, seq2 = (sch.sequence for sch in scheme_pair("conv3", 4, 2, 1, 1))
     assert list(seq1) == [1, 1, 0, 0, 0, 0]
     assert list(seq2) == [1, 1, 2, 0, 0, 0, 0]
 
 
 def test_lemma2_sequences():
-    seq1, seq2 = lemma_sequences("conv2", 3, 2, 1, 2)
+    seq1, seq2 = (sch.sequence for sch in scheme_pair("conv2", 3, 2, 1, 2))
     assert list(seq1) == [2, 2, 0, 0, 0]
     assert list(seq2) == [2, 2, 2, 0, 0, 0]
 
@@ -136,7 +135,7 @@ def test_sequences_share_their_prefix():
         ("conv2", 3, 2, 1, 2),  # identical until slot b
         ("conv3", 4, 2, 1, 2),  # identical until slot b
     ]:
-        seq1, seq2 = lemma_sequences(lemma, tau, b, tau_l, 2)
+        seq1, seq2 = (sch.sequence for sch in scheme_pair(lemma, tau, b, tau_l, 2))
         assert [seq1.size(i) for i in range(upto)] == [
             seq2.size(i) for i in range(upto)
         ]

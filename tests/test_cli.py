@@ -1,10 +1,12 @@
 """End-to-end runs of the command line harness."""
 
+import csv
+import dataclasses
 import json
 
 import pytest
 
-from streamfec import oracle
+from streamfec import cli, gap, oracle
 from streamfec.cauchy import SingularMatrixError
 from streamfec.cli import main
 from streamfec.codecs import VgmsCodec
@@ -223,6 +225,87 @@ def test_sweep_small_grid(capsys):
     assert "codec,tau,b" in out or "codec" in out.splitlines()[1]
 
 
+def plant_once(monkeypatch, owner, name, hit, planted):
+    """Replace `owner.name` so that its first call whose arguments satisfy
+    `hit` returns `planted(real, *args)`; every other call is the real one."""
+    real = getattr(owner, name)
+    done = []
+
+    def wrapper(*args):
+        if not done and hit(*args):
+            done.append(args)
+            return planted(real, *args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def planted_counterexample(real, *args):
+    return oracle.Counterexample((), 0, "planted")
+
+
+def planted_gap_check_error(real, *args):
+    raise GapCheckError("planted")
+
+
+def codec_named(name):
+    return lambda codec, payload, mode: codec.name == name
+
+
+@pytest.mark.parametrize(
+    "owner,name,hit,planted,failure",
+    [
+        (oracle, "verify_stream", codec_named("vgms"), planted_counterexample,
+         "vgms tau=2 b=1 seed=0: "),
+        (oracle, "verify_stream", codec_named("diagonal"), planted_counterexample,
+         "diagonal tau=1 b=1: "),
+        # only the diagonal cell tau=1, b=1 sends sizes 1,1,1 and a one-slot tail
+        (cli, "stream_rate", lambda seq, n_sizes: seq.sizes == (1, 1, 1, 0),
+         lambda real, seq, n_sizes: real(seq, n_sizes) + 1,
+         "diagonal rate off at tau=1 b=1"),
+        (gap, "run_gap", lambda *cell: True, planted_gap_check_error,
+         "gap conv3 tau=3 b=1 tau_l=1 d=2: planted"),
+        (gap, "run_gap", lambda *cell: True,
+         lambda real, *cell: dataclasses.replace(real(*cell), separated=False),
+         "gap not separated: conv3 tau=3 b=1 d=2"),
+    ],
+    ids=["vgms-verify", "diagonal-verify", "diagonal-rate", "gap-check", "gap-not-separated"],
+)
+def test_sweep_names_each_failed_check(capsys, monkeypatch, owner, name, hit, planted, failure):
+    plant_once(monkeypatch, owner, name, hit, planted)
+    code, out, err = run_cli(
+        capsys,
+        "sweep",
+        "--tau-max", "3",
+        "--seeds", "1",
+        "--t", "5",
+        "--m", "2",
+        "--d-max", "2",
+    )
+    assert code == 1
+    assert err.endswith("\nerror: 1 check(s) failed\n")
+    summary = json.loads(err[: err.rindex("error:")])
+    assert summary["status"] == "failed" and summary["gap_cells"] >= 1
+    assert len(summary["failures"]) == 1
+    assert summary["failures"][0].startswith(failure)
+    assert out.startswith("# config:")  # the rate table is still written
+
+
+def test_sweep_row_of_a_stream_that_sends_nothing(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--tau-max", "2", "--m", "1", "--seeds", "16", "--d-max", "1"
+    )
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    # seed 15 draws no symbol at tau = 2, so both of its vgms rows send nothing
+    assert random_sizes(8, 1, 15) == [0] * 8
+    empty = [i for i, row in enumerate(rows) if row["rate"] == "0/0"]
+    assert empty == [15, 31]
+    for i in empty:
+        assert rows[i]["codec"] == "vgms" and rows[i]["rate_decimal"] == ""
+        assert rows[i]["sizes"] == ",".join(["0"] * 10)
+
+
 def test_config_file_defaults_flags_win(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(
@@ -284,7 +367,32 @@ def test_offline_codec_via_cli(capsys):
     )
 
 
-@pytest.mark.parametrize("flag", [["--field", "8"], ["--field-degree=8"]])
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("sweep", "--seed", "1"), "--seed"),  # would read as --seeds
+        (("sweep", "--tau", "3"), "--tau"),  # --tau-max
+        (("sweep", "--d", "3"), "--d"),  # --d-max
+        (("simulate", "--codec", "vgms", "--tau", "2", "--b", "1", "--sizes", "1",
+          "--pat", "0"), "--pat"),  # --pattern
+        (("encode", "--codec", "vgms", "--tau", "2", "--b", "1", "--sizes", "1",
+          "--field", "8"), "--field"),  # --field-degree
+        (("gap", "--lemma", "conv1", "--tau", "5", "--b", "2", "--field", "8"), "--field"),
+        (("verify", "--codec", "vgms", "--tau", "2", "--b", "1", "--t", "4", "--seed", "1"),
+         "--seed"),
+    ],
+    ids=["sweep-seed", "sweep-tau", "sweep-d", "simulate-pat", "encode-field", "gap-field",
+         "verify-seed"],
+)
+def test_no_subcommand_takes_an_abbreviated_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+
+
+@pytest.mark.parametrize("flag", [["--field-degree", "8"], ["--field-degree=8"]])
 def test_config_file_loses_to_every_flag_spelling(capsys, tmp_path, flag):
     cfg = tmp_path / "run.json"
     cfg.write_text(

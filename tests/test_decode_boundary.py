@@ -12,7 +12,7 @@ database, so the examples are the same on every run.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamfec.baselines import SCHEME_IDS, lemma_sequences
+from streamfec.baselines import SCHEME_IDS, scheme_pair
 from streamfec.channel import is_admissible
 from streamfec.codecs import bind_codec
 from streamfec.gf import GF
@@ -43,7 +43,7 @@ def _bind(codec_id):
         p = make_params(2, 1, tau_l=1, m=2, t=seq.t)
     else:
         lemma, tau, b, tau_l, d = LEMMA_CASES[codec_id[:6]]
-        seq = lemma_sequences(lemma, tau, b, tau_l, d)[int(codec_id[-1]) - 1]
+        seq = scheme_pair(lemma, tau, b, tau_l, d)[int(codec_id[-1]) - 1].sequence
         p = make_params(tau, b, tau_l=tau_l, m=max(seq), t=seq.t)
     codec = bind_codec(codec_id, p, fld, seq, d=d)
     return codec, codec.encode(random_payload(seq, fld, 0))

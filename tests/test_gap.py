@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from streamfec import baselines
 from streamfec.baselines import make_scheme, scheme_pair
+from streamfec.cli import main
 from streamfec.gap import (
     REGIMES,
+    GapCheckError,
     classify_regime,
     gap_cells,
     run_gap,
@@ -122,3 +125,16 @@ def test_gap_cells_list_exactly_the_d_both_schemes_accept():
             if all(accepts(sch.scheme_id, tau, b, tau_l, d) for sch in pair):
                 want.append((lemma, tau, b, tau_l, d))
     assert gap_cells(tau_max, d_max) == want
+
+
+def test_rate_cross_check_fails_on_a_stated_rate_that_is_off(monkeypatch, capsys):
+    real = baselines.scheme_stated_rate
+    monkeypatch.setattr(
+        baselines, "scheme_stated_rate", lambda sch: real(sch) + Fraction(1, 100)
+    )
+    with pytest.raises(GapCheckError, match="differ from stated"):
+        run_gap("conv1", 5, 2, 3, 2, GF(8))
+    code = main(["gap", "--lemma", "conv1", "--tau", "5", "--b", "2", "--d", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: scheme rates 2/3, 5/7 differ from stated")

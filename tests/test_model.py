@@ -85,18 +85,14 @@ def test_out_of_range_reads_are_zero():
 
 def test_rate_fig_style_sequence():
     seq = terminate_sizes([3, 2, 1, 2, 1], 4, 3)
-    p = make_params(4, 2, m=3, t=seq.t)
     n = [3, 2, 1, 2, 4, 2, 0, 0, 1]
-    tr = build_transcript(p, seq, n, (), list(range(seq.t + 1)))
-    assert stream_rate(tr) == Fraction(9, 15) == Fraction(3, 5)
+    assert stream_rate(seq, n) == Fraction(9, 15) == Fraction(3, 5)
 
 
 def test_rate_zero_denominator():
     seq = terminate_sizes([], 4, 3)
-    p = make_params(4, 2, m=3, t=seq.t)
-    tr = build_transcript(p, seq, [0, 0, 0, 0], (), [0, 1, 2, 3])
-    with pytest.raises(ValueError):
-        stream_rate(tr)
+    with pytest.raises(ValueError, match="rate undefined"):
+        stream_rate(seq, [0] * len(seq))
 
 
 def test_check_delays_lossless_ok():

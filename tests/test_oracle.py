@@ -6,6 +6,7 @@ import pytest
 
 from streamfec import oracle
 
+from streamfec.channel import erased_runs
 from streamfec.codecs import bind_codec
 from streamfec.gf import GF
 from streamfec.model import (
@@ -20,7 +21,6 @@ from streamfec.oracle import (
     ProfileGap,
     check_minimality,
     cumulative_profile,
-    decoded_before_burst,
     exhaustive_decode_check,
     judge_decode,
     lower_bound_profile,
@@ -228,6 +228,24 @@ def test_exhaustive_check_catches_corrupted_parity(monkeypatch):
         bad = check(Tampered(), payload, "single")
         assert isinstance(bad, Counterexample), check
         assert bad.reason == "recovered symbols differ", check
+
+
+def decoded_before_burst(decode_times, pattern) -> bool:
+    """With a single burst starting at j: is everything before slot j
+    already decoded by slot j-1? Vacuously true for the empty pattern.
+
+    Zero-lossless-delay decoding has this property; a scheme with symbols
+    still in flight at the burst need not."""
+    runs = erased_runs(pattern)
+    if not runs:
+        return True
+    if len(runs) > 1:
+        raise ValueError("expected a single-burst pattern")
+    start = runs[0][0]
+    return all(
+        decode_times[i] is not None and decode_times[i] <= start - 1
+        for i in range(start)
+    )
 
 
 def test_decoded_before_burst_vgms_true_everywhere():
