@@ -47,12 +47,13 @@ DEFAULT_POLYS = {
     16: 0b10001000000001011,
 }
 
-# Tables become 2-byte arrays from this degree up. `bench/gf_tables.py`
-# (result in `bench/BENCH_gf_tables.json`), on a 2-core x86-64 host with
-# 2 MiB of L2 per core and Python 3.11, lists and arrays interleaved in one
-# process: the Cauchy parity combine on arrays took 0.40x the list time at
-# degree 16, 0.96x at 14, 1.34x at 13 and 1.46-1.54x at 8-12. GF.mul
-# crosses over at the same degree, and the burst solve is even there.
+# Tables become 2-byte arrays from this degree up. The `tables` cases of
+# `bench/layers.py` time the Cauchy parity combine on lists and arrays,
+# interleaved in one process. As recorded in `bench/BENCH_gf_tables.json`,
+# on a 2-core x86-64 host with 2 MiB of L2 per core and Python 3.11, the
+# combine on arrays took 0.40x the list time at degree 16, 0.96x at 14,
+# 1.34x at 13 and 1.46-1.54x at 8-12. GF.mul crosses over at the same
+# degree, and the burst solve is even there.
 COMPACT_TABLES_FROM_DEGREE = 14
 
 

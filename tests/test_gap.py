@@ -1,5 +1,6 @@
 """Regime classification and the online-versus-offline separation runs."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,50 @@ def test_run_gap_conv3_worked_example():
 def test_run_gap_rejects_regime_parameters():
     with pytest.raises(ValueError):
         run_gap("conv1", 4, 2, None, 2, GF(8))  # b | tau
+
+
+def move_one_row(monkeypatch, scheme_id, slots):
+    """Have `baselines.offline_stream` move one row of `scheme_id`'s stream
+    between the slots that `slots(slot_rows, scheme)` names, (from, to)."""
+    real = baselines.offline_stream
+
+    def moved(sch, fld, seed=0):
+        st = real(sch, fld, seed)
+        if sch.scheme_id != scheme_id:
+            return st
+        rows = [list(r) for r in st.slot_rows]
+        src, dst = slots(rows, sch)
+        rows[dst].append(rows[src].pop())
+        return dataclasses.replace(st, slot_rows=rows)
+
+    monkeypatch.setattr(baselines, "offline_stream", moved)
+
+
+def last_sent(rows):
+    return max(i for i, r in enumerate(rows) if r)
+
+
+@pytest.mark.parametrize(
+    "lemma, tau, b, tau_l, d", [("conv1", 5, 2, None, 2), ("conv2", 3, 2, 1, 2), ("conv3", 4, 2, 1, 2)]
+)
+def test_witness_check_fails_when_scheme_1_sends_a_row_early(monkeypatch, lemma, tau, b, tau_l, d):
+    # the rates stay as they are, so only the witnesses can tell
+    first = baselines.LEMMA_SCHEMES[lemma][0]
+    move_one_row(monkeypatch, first, lambda rows, sch: (last_sent(rows), 0))
+    with pytest.raises(GapCheckError, match="witness cross-checks failed"):
+        run_gap(lemma, tau, b, tau_l, d, GF(8))
+
+
+def test_witness_check_fails_on_a_cyclic_channel_alone(monkeypatch):
+    # one row of scheme 2 moves from slot b to its last slot: budget and
+    # demand still match, and one channel leaves 9 < d * tau = 10 symbols
+    move_one_row(monkeypatch, "lemma3_seq2", lambda rows, sch: (sch.b, last_sent(rows)))
+    with pytest.raises(GapCheckError) as failure:
+        run_gap("conv3", 5, 2, 1, 2, GF(8))
+    assert str(failure.value) == (
+        "witness cross-checks failed: {'witness_budget': 3, 'witness_demand': 4, "
+        "'cyclic_dropped': [4, 3, 3, 4, 4, 5, 5]}"
+    )
 
 
 def test_gap_sweep_all_separated():

@@ -8,6 +8,7 @@ import pytest
 from streamfec.cauchy import build_cauchy, vec_mat
 from streamfec.channel import all_patterns, apply_pattern, single_burst_patterns
 from streamfec.gf import GF
+from streamfec.codecs import bind_codec
 from streamfec.linear import IncrementalDecoder
 from streamfec.model import (
     make_params,
@@ -17,6 +18,7 @@ from streamfec.model import (
     terminate_sizes,
 )
 from streamfec import vgms
+from streamfec.oracle import Counterexample, exhaustive_decode_check
 from streamfec.vgms import (
     VgmsEncoder,
     block,
@@ -275,6 +277,32 @@ def test_inadmissible_pattern_rejected():
     layout = packet_layout(seq, p)
     with pytest.raises(ValueError):
         decode_stream(layout, matrix, apply_pattern((0, 1, 2), stream.packets))
+
+
+@pytest.mark.parametrize(
+    "raw, b, short_slot, pattern, reason, first_bad",
+    [
+        ([0, 0, 1, 1, 0, 4], 1, 6, (5,), "parity shortfall recovering burst 5..5", (0, 5)),
+        ([3, 4, 2, 4, 1, 3], 2, 4, (0,), "parity slot 4 misses the tail of 0", (0,)),
+    ],
+)
+def test_decode_failure_on_a_layout_short_of_parity(raw, b, short_slot, pattern, reason, first_bad):
+    # the decoder's layout allots one parity symbol too few to `short_slot`;
+    # the encoder builds its own layout, so the packets are whole
+    fld = GF(8)
+    seq = terminate_sizes(raw, 4, 4)
+    codec = bind_codec("vgms", make_params(4, b, m=4, t=seq.t), fld, seq)
+    codec.layout.parity_sizes[short_slot] -= 1
+    payload = random_payload(seq, fld, 0)
+    with pytest.raises(vgms.DecodeFailure) as failure:
+        codec.decode(apply_pattern(pattern, codec.encode(payload)))
+    # the exact reason: a phase-1 search past slot run_start + tau - 1
+    # fails too, but on the tail of slot 5
+    assert str(failure.value) == reason
+    # the replay loop turns the failure into a counterexample
+    assert exhaustive_decode_check(codec, payload, "full") == Counterexample(
+        first_bad, None, f"decode failure: {reason}"
+    )
 
 
 def test_round_trip_all_patterns_reference_stream():
