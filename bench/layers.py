@@ -14,8 +14,10 @@ Each case times one layer at a named point:
     packet_layout     `vgms.packet_layout` of one vgms-bulk stream
     patterns          `channel.all_patterns`, each checked by
                       `is_admissible`, on one grid stream
-    solve n=16/48/128 `CauchyMatrix.solve_combination`, the phase-1 head
-                      solve, of an n x n system of the vgms-bulk matrix
+    solve n=3/16/48/128
+                      `CauchyMatrix.solve_combination`, the phase-1 head
+                      solve, of an n x n system of the vgms-bulk matrix;
+                      n=3 is the size of the criterion-2 grid's solves
     burst decode      VGMS decode of 12 length-b bursts of one vgms-bulk
                       stream, at starts 4, 12, .., 92, past the first b
                       slots, so phase 1 solves their heads
@@ -207,7 +209,7 @@ CASES = {
         f"solve n={n}": (
             BIND + ("cauchy.CauchyMatrix.solve_combination",), each_tree(solve_call(n))
         )
-        for n in (16, 48, 128)
+        for n in (3, 16, 48, 128)
     },
     "burst decode": (
         BIND + ("channel.apply_pattern", "codecs.VgmsCodec.decode"),

@@ -9,9 +9,10 @@ in O(n^2) without building the matrix. Both work in the log domain on the
 field's tables. `terms` turns a sparse row vector into (x point, log)
 pairs once, and `combine` then costs one antilog lookup per coefficient
 and column. The solve builds one n x n block of logs, reads each pair of
-its points once, and reads the block again for its final product. The
-generic `solve` runs on the elimination core in `streamfec.linear` and is
-kept as the reference the closed form is tested against.
+its points once (twice for a few points, where that is faster), and reads
+the block again for its final product. The generic `solve` runs on the
+elimination core in `streamfec.linear` and is kept as the reference the
+closed form is tested against.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from typing import Sequence
 
 from .gf import GF
 from .linear import IncrementalDecoder, InconsistentSystemError
+
+
+# points from which `_pair_log_sums` reads each pair once; below it the
+# triangle's fixed cost outweighs the lookups it saves
+PAIR_TRIANGLE_FROM = 9
 
 
 class SingularMatrixError(Exception):
@@ -109,7 +115,8 @@ class CauchyMatrix:
         the block L[a][b] = log(u_a + v_b) is built once: its row sums give
         the numerators of A, its column sums those of B, and the final sum
         reads it again, one antilog lookup per term. The denominators visit
-        each pair of distinct points once. O(n^2), no matrix.
+        each pair of distinct points once (`_pair_log_sums`). O(n^2), no
+        matrix.
 
         Raises ValueError unless rows, cols and rhs have one length and the
         indices within rows and within cols are distinct, and IndexError
@@ -150,13 +157,15 @@ class CauchyMatrix:
 def _pair_log_sums(points: Sequence[int], log: Sequence[int]) -> list[int]:
     """For each point, the sum over every other point w of log(point + w).
 
-    Each unordered pair is looked up once, in the lower triangle
+    Up to `PAIR_TRIANGLE_FROM - 1` points, each point sums its own row,
+    which reads every pair twice but starts fastest. From there each
+    unordered pair is looked up once, in the lower triangle
     low[a][k] = log(points[a] + points[k]), k < a: point a's sum is row a
     plus column a. A point is never paired with itself, so log[0] is never
     read.
     """
-    if len(points) < 2:  # no pair: skip the fixed cost, which dominates tiny solves
-        return [0] * len(points)
+    if len(points) < PAIR_TRIANGLE_FROM:
+        return [sum([log[p ^ w] for w in points if w != p]) for p in points]
     low = [[log[p ^ w] for w in points[:a]] for a, p in enumerate(points)]
     cols = list(map(sum, zip_longest(*low, fillvalue=0)))
     cols.append(0)  # the last point heads no column

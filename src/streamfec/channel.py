@@ -5,6 +5,12 @@ A loss pattern is a set of erased slot indices. It is admissible when every
 sliding window of `w` consecutive slots contains at most one contiguous run
 of erased slots, and that run is no longer than `b`. Truncated bursts at the
 stream boundaries are ordinary shorter bursts.
+
+The rule is written once, in `runs_admissible`, on the pattern's erased runs
+in slot order. `is_admissible` applies it to a set of slots. A decoder
+applies it to the runs that `check_received` returns: that check already
+walks the received list slot by slot, so it builds the runs in the same
+walk, with no sort.
 """
 
 from __future__ import annotations
@@ -29,10 +35,16 @@ def erased_runs(erased: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def is_admissible(erased: Sequence[int], p: CodeParams) -> bool:
-    """One pass over the erased runs: no run is longer than b, and each run
-    starts at least w slots after the previous one ends (closer, and some
-    window would hold both)."""
-    runs = erased_runs(erased)
+    """Is the set of erased slots an admissible pattern? Raises ValueError
+    for a slot outside [0, t]."""
+    return runs_admissible(erased_runs(erased), p)
+
+
+def runs_admissible(runs: Sequence[tuple[int, int]], p: CodeParams) -> bool:
+    """The admissibility rule, on the erased runs in slot order, as
+    `erased_runs` and `check_received` give them. One pass: no run is
+    longer than b, and each run starts at least w slots after the previous
+    one ends (closer, and some window would hold both)."""
     if runs and (runs[0][0] < 0 or runs[-1][1] > p.t):
         raise ValueError("erased slot outside [0, t]")
     prev_end = -p.w  # no run before slot 0
@@ -52,32 +64,29 @@ def single_burst_patterns(p: CodeParams) -> Iterator[tuple[int, ...]]:
 
 
 def all_patterns(p: CodeParams) -> Iterator[tuple[int, ...]]:
-    """Every admissible pattern exactly once, in lexicographic order."""
+    """Every admissible pattern exactly once, in lexicographic order.
+
+    A depth-first walk over prefixes, on an explicit stack of (prefix,
+    length of its last run, its last slot). A prefix's children append
+    either the next slot of its last run, while that run is shorter than b,
+    or the first slot of a new run, w or more slots after the last one ends;
+    they are pushed in reverse, so the smallest pops first. The empty prefix
+    acts as a full run ending w slots before slot 0.
+    """
     if p.t + 1 > FULL_ENUMERATION_CAP:
         raise ValueError(
             f"full enumeration capped at {FULL_ENUMERATION_CAP} slots, got {p.t + 1}"
         )
-
-    def extend(prefix: list[int], run_len: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(prefix)
-        if not prefix:
-            for nxt in range(0, p.t + 1):
-                prefix.append(nxt)
-                yield from extend(prefix, 1)
-                prefix.pop()
-            return
-        last = prefix[-1]
-        if run_len < p.b and last + 1 <= p.t:
-            prefix.append(last + 1)
-            yield from extend(prefix, run_len + 1)
-            prefix.pop()
-        # a new run may start only once the window has slid past this one
-        for nxt in range(last + p.w, p.t + 1):
-            prefix.append(nxt)
-            yield from extend(prefix, 1)
-            prefix.pop()
-
-    yield from extend([], 0)
+    t, b, w = p.t, p.b, p.w
+    stack = [((), b, -w)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, run_len, last = pop()
+        yield prefix
+        for nxt in range(t, last + w - 1, -1):
+            push((prefix + (nxt,), 1, nxt))
+        if run_len < b and last < t:
+            push((prefix + (last + 1,), run_len + 1, last + 1))
 
 
 def enumerate_patterns(p: CodeParams, mode: str) -> Iterator[tuple[int, ...]]:
@@ -90,24 +99,35 @@ def enumerate_patterns(p: CodeParams, mode: str) -> Iterator[tuple[int, ...]]:
 
 def check_received(
     received: Sequence[Sequence[int] | None], n_sizes: Sequence[int], fld: GF
-) -> tuple[int, ...]:
-    """The erased slots of a received list, once the list is checked: it
+) -> list[tuple[int, int]]:
+    """The erased runs of a received list, once the list is checked: it
     covers every slot of `n_sizes`, and each received packet has its slot's
-    length and only symbols of `fld`. Raises ValueError otherwise."""
+    length and only symbols of `fld`. Raises ValueError otherwise, naming
+    the first bad slot. The runs are (start, end) pairs in slot order, as
+    `erased_runs` gives them, built in the same walk over the slots."""
     if len(received) != len(n_sizes):
         raise ValueError("received list must cover slots 0..t")
-    erased = []
+    runs: list[tuple[int, int]] = []
     for i, pkt in enumerate(received):
         if pkt is None:
-            erased.append(i)
+            if runs and runs[-1][1] == i - 1:
+                runs[-1] = (runs[-1][0], i)
+            else:
+                runs.append((i, i))
         elif len(pkt) != n_sizes[i]:
             raise ValueError(f"packet at slot {i} has unexpected length")
         elif not in_field(fld, pkt):
             raise ValueError(f"packet at slot {i} has an out-of-field symbol")
-    return tuple(erased)
+    return runs
 
 
 def apply_pattern(erased: Sequence[int], packets: Sequence) -> list:
-    """Replace erased slots with None, pass the rest through intact."""
-    lost = set(erased)
-    return [None if i in lost else pkt for i, pkt in enumerate(packets)]
+    """A copy of `packets` with the erased slots set to None. Raises
+    ValueError for a slot outside [0, t], t = len(packets) - 1."""
+    out = list(packets)
+    n = len(out)
+    for i in erased:
+        if not 0 <= i < n:
+            raise ValueError("erased slot outside [0, t]")
+        out[i] = None
+    return out

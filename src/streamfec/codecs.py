@@ -13,8 +13,9 @@ Each fact about a stream is checked once, where the stream enters a codec:
   above m, and a block size d given to the offline schemes alone.
 - `channel.check_received` checks a received list (its length, each
   packet's length against n_sizes, and the field) for both decoders, and
-  returns the erased slots. Only the VGMS decoder then requires an
-  admissible pattern; `LinearCodec` decodes any erasure set.
+  returns the erased runs. Only the VGMS decoder reads them, to require an
+  admissible pattern and to recover burst by burst; `LinearCodec` ignores
+  them and decodes any erasure set.
 `vgms.VgmsLayout` keeps its own params and m checks, since the online
 `vgms.VgmsEncoder` takes no binding, and `oracle.lower_bound_profile` keeps
 its own, since the oracle stays independent of the codecs.

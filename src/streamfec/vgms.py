@@ -39,7 +39,7 @@ from itertools import chain
 from typing import Sequence
 
 from .cauchy import CauchyMatrix
-from .channel import check_received, erased_runs, is_admissible
+from .channel import check_received, runs_admissible
 from .gf import in_field
 from .model import CodeParams, SizeSequence, require_valid
 
@@ -220,47 +220,48 @@ def decode_stream(
     known tails and heads out of the parity segments right after the burst,
     then solve one square Cauchy system for all erased heads jointly, in
     closed form. Phase 2: recover each erased tail from the parity segment
-    exactly tau slots after its slot. A received slot's message is a fresh
-    slice of its packet; its head and tail are read only when a burst's
-    window needs them, and each head's log-domain terms are built at most
-    once per call. Raises ValueError for malformed input (a wrong matrix
-    size, list or packet length, an out-of-field symbol) or an inadmissible
-    pattern, and DecodeFailure if recovery is impossible, which would mean
-    a construction bug.
+    exactly tau slots after its slot. The bursts are the erased runs that
+    `channel.check_received` returns once it has checked the list; the
+    admissibility rule (`channel.runs_admissible`) reads the same runs. A
+    received slot's message is a fresh slice of its packet; its head and
+    tail are read only when a burst's window needs them, and each nonempty
+    head's log-domain terms are built at most once per call. Raises
+    ValueError for malformed input (a wrong matrix size, list or packet
+    length, an out-of-field symbol) or an inadmissible pattern, and
+    DecodeFailure if recovery is impossible, which would mean a
+    construction bug.
     """
     p = layout.params
     _check_matrix(p, matrix)
     t, tau = p.t, p.tau
     if len(layout.k_sizes) != t + 1:
         raise ValueError("layout must cover slots 0..t")
-    erased = check_received(received, layout.n_sizes, matrix.field)
-    if not is_admissible(erased, p):
+    runs = check_received(received, layout.n_sizes, matrix.field)
+    if not runs_admissible(runs, p):
         raise ValueError("loss pattern is not admissible for this channel")
 
     k_sizes, head_sizes, tail_sizes = layout.k_sizes, layout.head_sizes, layout.tail_sizes
     parity_sizes = layout.parity_sizes
-    messages: list[list[int] | None] = [None] * (t + 1)
-    times: list[int | None] = [None] * (t + 1)
-    for i, pkt in enumerate(received):
-        if pkt is not None:
-            msg = pkt[: k_sizes[i]]
-            messages[i] = msg if type(msg) is list else list(msg)
-            times[i] = i
+    messages: list[list[int] | None] = [
+        None if pkt is None else pkt[:k] if type(pkt) is list else list(pkt[:k])
+        for pkt, k in zip(received, k_sizes)
+    ]
+    times: list[int] = list(range(t + 1))  # an erased slot's is set when it is recovered
 
     # per slot: head terms once built, and an erased slot's recovered pieces
     terms: list[list[tuple[int, int]] | None] = [None] * (t + 1)
     heads: list[list[int] | None] = [None] * (t + 1)
     tails: list[list[int] | None] = [None] * (t + 1)
 
-    for run_start, run_end in erased_runs(erased):
+    for run_start, run_end in runs:
         burst = range(run_start, run_end + 1)
-        unknown = [l for l in burst if head_sizes[l] > 0]
-        total_heads = sum(head_sizes[l] for l in unknown)
+        total_heads = sum(head_sizes[run_start : run_end + 1])
         head_time: int | None = None
         for l in burst:  # empty until solved, so phase 1 leaves them out
             terms[l] = []
 
         if total_heads:
+            unknown = [l for l in burst if head_sizes[l]]
             rows = [r for l in unknown for r in block(p, l, head_sizes[l])]
             cols: list[int] = []
             rhs: list[int] = []
@@ -318,9 +319,8 @@ def decode_stream(
                 times[l] = head_time
             messages[l] = (heads[l] or []) + tails[l]
 
-    for i in range(t + 1):
-        if messages[i] is None:
-            raise DecodeFailure(f"slot {i} was never recovered")
+    if None in messages:
+        raise DecodeFailure(f"slot {messages.index(None)} was never recovered")
     return DecodeResult(messages, times)
 
 
@@ -348,6 +348,8 @@ def _window_parity(
             if pkt is None:
                 raise DecodeFailure(f"head of slot {l} unexpectedly unknown")
             head_n = layout.head_sizes[l]
-            slot_terms = terms[l] = matrix.terms(block(p, l, head_n), pkt[:head_n])
+            slot_terms = terms[l] = (
+                matrix.terms(block(p, l, head_n), pkt[:head_n]) if head_n else []
+            )
         window += slot_terms
     return matrix.combine(window, block(p, j, n))

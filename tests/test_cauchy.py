@@ -9,8 +9,10 @@ import random
 import pytest
 
 from streamfec.cauchy import (
+    PAIR_TRIANGLE_FROM,
     CauchyMatrix,
     SingularMatrixError,
+    _pair_log_sums,
     build_cauchy,
     solve,
     vec_mat,
@@ -179,7 +181,7 @@ def test_combine_matches_dense_product():
 
 
 SOLVE_CASES = [(4, n) for n in (1, 2, 3, 8)] + [
-    (degree, n) for degree in (8, 16) for n in (1, 2, 3, 17, 64)
+    (degree, n) for degree in (8, 16) for n in (1, 2, 3, 9, 17, 64)
 ] + [(16, 256)]
 
 
@@ -199,6 +201,22 @@ def test_solve_combination_matches_elimination(degree, n):
     assert x == solve(fld, transposed, rhs)
     assert a.combine(a.terms(rows, x), cols) == rhs
     assert a.solve_combination(rows, cols, [0] * n) == [0] * n
+
+
+class NoLogOfZero(list):
+    def __getitem__(self, idx):
+        if idx == 0:
+            raise AssertionError("log[0] read")
+        return list.__getitem__(self, idx)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, PAIR_TRIANGLE_FROM - 1, PAIR_TRIANGLE_FROM, 30])
+def test_pair_log_sums_on_both_sides_of_the_triangle_bound(n):
+    # per-point sums below the bound, the triangle from it; neither reads log[0]
+    fld = GF(8)
+    points = random.Random(n).sample(range(fld.order), n)
+    want = [sum(fld.log[p ^ w] for w in points if w != p) for p in points]
+    assert _pair_log_sums(points, NoLogOfZero(fld.log)) == want
 
 
 def test_solve_combination_rejects_malformed_systems():

@@ -2,17 +2,20 @@
 brute-force filter over all subsets."""
 
 import itertools
+import random
 
 import pytest
 
 from streamfec.channel import (
     all_patterns,
     apply_pattern,
+    check_received,
     enumerate_patterns,
     erased_runs,
     is_admissible,
     single_burst_patterns,
 )
+from streamfec.gf import GF, in_field
 from streamfec.model import make_params
 
 
@@ -80,9 +83,8 @@ def test_full_enumeration_matches_brute_force(tau, b, t):
         for cand in itertools.combinations(range(t + 1), size):
             if brute_force_admissible(cand, p):
                 want.add(cand)
-    got = list(all_patterns(p))
-    assert len(got) == len(set(got)), "duplicates emitted"
-    assert set(got) == want
+    # the order decides which counterexample `verify` reports first
+    assert list(all_patterns(p)) == sorted(want)
 
 
 @pytest.mark.parametrize(
@@ -131,8 +133,74 @@ def test_apply_pattern():
     assert out == [None, None, [3], [4]]
     survivors = sum(1 for x in out if x is not None)
     assert survivors == len(packets) - 2
+    assert packets == [[1], [2], [3], [4]]  # a copy; the input is untouched
+    assert apply_pattern(range(2, 4), tuple(packets)) == [[1], [2], None, None]
+
+
+@pytest.mark.parametrize("erased", [(-1,), (4,), (0, 4), (1, -1)])
+def test_apply_pattern_rejects_slots_outside_the_stream(erased):
+    # t = 3; a negative index must not wrap around to the last slot
+    packets = [[1], [2], [3], [4]]
+    with pytest.raises(ValueError, match=r"erased slot outside \[0, t\]"):
+        apply_pattern(erased, packets)
 
 
 def test_erased_runs():
     assert erased_runs(()) == []
     assert erased_runs((0, 1, 2, 5, 7, 8)) == [(0, 2), (5, 5), (7, 8)]
+
+
+def reference_check_received(received, n_sizes, fld):
+    """`check_received` as it was before it built the runs: the erased
+    slots, once every received packet is checked, one packet at a time."""
+    if len(received) != len(n_sizes):
+        raise ValueError("received list must cover slots 0..t")
+    erased = []
+    for i, pkt in enumerate(received):
+        if pkt is None:
+            erased.append(i)
+        elif len(pkt) != n_sizes[i]:
+            raise ValueError(f"packet at slot {i} has unexpected length")
+        elif not in_field(fld, pkt):
+            raise ValueError(f"packet at slot {i} has an out-of-field symbol")
+    return tuple(erased)
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("degree", [4, 8, 16])
+def test_check_received_matches_the_per_packet_loop(degree):
+    fld = GF(degree)
+    rng = random.Random(degree)
+    spoilt = 0
+    for _ in range(400):
+        n_sizes = [rng.randint(0, 5) for _ in range(rng.randint(1, 14))]
+        received = [[rng.randrange(fld.order) for _ in range(n)] for n in n_sizes]
+        for i in range(len(received)):
+            if rng.random() < 0.35:
+                received[i] = None
+        kept = [i for i, pkt in enumerate(received) if pkt is not None]
+        if kept and rng.random() < 0.5:  # spoil a packet or two, often after a run
+            for i in rng.sample(kept, min(len(kept), rng.choice([1, 1, 2]))):
+                bad = rng.choice(["long", "long and big", "short", "big", "negative", "float"])
+                if bad.startswith("long"):  # the length is named first
+                    received[i] = received[i] + [fld.order if "big" in bad else 0]
+                elif bad == "short" and received[i]:
+                    received[i] = received[i][1:]
+                elif received[i]:
+                    at = rng.randrange(len(received[i]))
+                    received[i][at] = {"big": fld.order, "negative": -1, "float": 1.0}[bad]
+            spoilt += 1
+        want = outcome(reference_check_received, received, n_sizes, fld)
+        if not isinstance(want, str):
+            want = erased_runs(want)
+        assert outcome(check_received, received, n_sizes, fld) == want
+        assert outcome(check_received, received[:-1], n_sizes, fld) == outcome(
+            reference_check_received, received[:-1], n_sizes, fld
+        )
+    assert spoilt > 100

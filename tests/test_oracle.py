@@ -1,5 +1,6 @@
 """Lower-bound recursion, minimality checks, exhaustive decode oracle."""
 
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +11,7 @@ from streamfec.channel import erased_runs
 from streamfec.codecs import bind_codec
 from streamfec.gf import GF
 from streamfec.model import (
+    deadline_violation,
     make_params,
     random_payload,
     random_sizes,
@@ -193,6 +195,24 @@ def test_judge_decode_checks_symbols_then_each_deadline():
     # the lossless deadline binds only when nothing is lost
     assert judge((), payload, [1, 1, 2, 3]) == (0, "lossless deadline missed (1 > 0)")
     assert judge((2,), payload, [1, 1, 2, 3]) is None
+
+
+def test_judge_decode_agrees_with_the_deadline_rule_on_random_times():
+    # the lossy fast pass must give the verdict `deadline_violation` gives
+    fld = GF(8)
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(300):
+        seq = terminate_sizes([rng.randint(0, 2) for _ in range(rng.randint(1, 6))], 3, 2)
+        codec = bind_codec("vgms", make_params(3, 2, m=2, t=seq.t), fld, seq)
+        payload = random_payload(seq, fld, 0)
+        times = [rng.choice([None, i, i + 3, i + 4]) for i in range(seq.t + 1)]
+        bad = deadline_violation(seq.sizes, times, 3)
+        want = bad and (bad.slot, f"worst-case deadline missed ({bad.decode_time} > {bad.deadline})")
+        got = judge_decode(codec, (0,), DecodeResult(payload, times), payload)
+        assert (got and (got.slot, got.reason)) == want
+        seen.add(want is None)
+    assert seen == {True, False}
 
 
 def test_exhaustive_check_catches_corrupted_parity(monkeypatch):
