@@ -12,6 +12,9 @@ Each case times one layer at a named point:
     combine           `CauchyMatrix.combine` of 512 head terms onto 32
                       columns, the encoder's parity combine (vgms-bulk)
     packet_layout     `vgms.packet_layout` of one vgms-bulk stream
+    encode grid/vgms-bulk
+                      `VgmsCodec.encode` of one whole stream at the grid's
+                      and at vgms-bulk's point
     patterns          `channel.all_patterns`, each checked by
                       `is_admissible`, on one grid stream
     solve n=3/16/48/128
@@ -153,6 +156,13 @@ def decode_call(point: str, starts):
     return build
 
 
+def encode_call(point: str):
+    def build(sf):
+        codec, payload, _ = stream(sf, point)
+        return lambda: codec.encode(payload)
+    return build
+
+
 def layout_call(sf):
     codec = stream(sf, "vgms-bulk")[0]
     return lambda: sf.vgms.packet_layout(codec.seq, codec.params).head_sizes
@@ -202,6 +212,10 @@ CASES = {
         each_tree(lambda sf: combine_call(stream(sf, "vgms-bulk")[0].matrix, random.Random(0))),
     ),
     "packet_layout": (BIND + ("vgms.packet_layout",), each_tree(layout_call)),
+    **{
+        f"encode {point}": (BIND + ("codecs.VgmsCodec.encode",), each_tree(encode_call(point)))
+        for point in ("grid", "vgms-bulk")
+    },
     "patterns": (
         BIND + ("channel.all_patterns", "channel.is_admissible"), each_tree(patterns_call)
     ),
@@ -341,13 +355,13 @@ def main(argv: list[str] | None = None) -> int:
     }
     for row in results:
         if "skipped" in row:
-            print(f"{row['case']:14s} skipped: {row['skipped']}")
+            print(f"{row['case']:16s} skipped: {row['skipped']}")
             continue
         line = "  ".join(f"{side} {ms:9.3f} ms" for side, ms in row["ms"].items())
         if "ratio" in row:
             first, second = row["ms"]
             line += f"  {second}/{first} {row['ratio']:.3f}"
-        print(f"{row['case']:14s} {line}")
+        print(f"{row['case']:16s} {line}")
     out = args.out if args.out or args.quick else HERE / "BENCH_layers.json"
     if out:
         out.write_text(json.dumps(result, indent=1) + "\n")

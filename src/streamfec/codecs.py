@@ -16,9 +16,11 @@ Each fact about a stream is checked once, where the stream enters a codec:
   returns the erased runs. Only the VGMS decoder reads them, to require an
   admissible pattern and to recover burst by burst; `LinearCodec` ignores
   them and decodes any erasure set.
-`vgms.VgmsLayout` keeps its own params and m checks, since the online
-`vgms.VgmsEncoder` takes no binding, and `oracle.lower_bound_profile` keeps
-its own, since the oracle stays independent of the codecs.
+A bound `VgmsCodec` builds its layout once, and its encode and decode
+both read it. `vgms.VgmsLayout` keeps its own params and m checks for the
+online `vgms.VgmsEncoder`, which grows a layout of its own without a
+binding, and `oracle.lower_bound_profile` keeps its own, since the oracle
+stays independent of the codecs.
 """
 
 from __future__ import annotations
@@ -55,9 +57,7 @@ class VgmsCodec:
         return self._n_sizes
 
     def encode(self, payload: Sequence[Sequence[int]]) -> list[list[int]]:
-        if [len(pkt) for pkt in payload] != list(self.seq):
-            raise ValueError("payload does not match the size sequence")
-        return vgms.encode_stream(self.params, self.matrix, payload).packets
+        return vgms.encode_stream(self.layout, self.matrix, payload)
 
     def decode(self, received: Sequence[Sequence[int] | None]) -> DecodeResult:
         return vgms.decode_stream(self.layout, self.matrix, received)

@@ -16,6 +16,7 @@ by name. They stay here until that workload judges its decodes by
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,11 +84,24 @@ def require_valid(p: CodeParams) -> None:
         raise ValueError("invalid parameters: " + "; ".join(bad))
 
 
+def _integer_sizes(sizes: Iterable[int]) -> list[int]:
+    """The sizes as ints. A size that is not an integer, such as 1.7 or
+    "3", is a ValueError that names its slot, where int() would truncate
+    or parse it."""
+    out = []
+    for i, k in enumerate(sizes):
+        try:
+            out.append(operator.index(k))
+        except TypeError:
+            raise ValueError(f"message size {k!r} at slot {i} is not an integer") from None
+    return out
+
+
 class SizeSequence:
     """A message size sequence; reads outside [0, t] return 0."""
 
     def __init__(self, sizes: Iterable[int]) -> None:
-        self._sizes = tuple(int(k) for k in sizes)
+        self._sizes = tuple(_integer_sizes(sizes))
         if any(k < 0 for k in self._sizes):
             raise ValueError("message sizes must be >= 0")
 
@@ -134,7 +148,7 @@ def terminate_sizes(raw: Sequence[int], tau: int, m: int) -> SizeSequence:
     terminating it once. A sequence of exactly tau zeros is not terminated:
     it gets its tail too, or it would leave t = tau - 1 < tau.
     """
-    raw = [int(k) for k in raw]
+    raw = _integer_sizes(raw)
     for k in raw:
         if not 0 <= k <= m:
             raise ValueError(f"message size {k} outside [0, {m}]")

@@ -18,9 +18,15 @@ Cauchy matrix against the heads laid out at block offsets ((j mod tau) * m).
 Each head enters combine() as its log-domain terms (`CauchyMatrix.terms`),
 built once per slot and read by every window that contains the slot: the
 encoder keeps them in its tau-slot ring, and the decoder builds them on
-first use, only for the slots a burst's windows reach. The layout depends
-only on the sizes, which the receiver holds as side information, so one
-layout per stream serves every decode.
+first use, only for the slots a burst's windows reach.
+
+The layout depends only on the sizes, which the receiver holds as side
+information, so one bound layout (`packet_layout`) serves the encoder and
+every decode: `encode_stream` and `decode_stream` both read it and never
+split a message again. The online `VgmsEncoder` grows its own layout one
+slot at a time from the sizes seen so far, as the paper's encoder does; it
+is the reference that `encode_stream` is tested against, and both build each
+packet by the one per-slot rule of `_ParityRing`.
 
 A burst erasing slots s..e is undone in two phases: first the erased heads
 are solved jointly from the parity columns of slots e+1..s+tau-1 (any square
@@ -142,64 +148,97 @@ def block(p: CodeParams, j: int, n: int) -> range:
     return range(base, base + n)
 
 
+class _ParityRing:
+    """The per-slot packet rule, shared by both encode paths.
+
+    Holds the pieces of the last tau slots, Theta(tau * m) symbols, in a
+    ring indexed by slot mod tau. Each head is kept as its log-domain terms
+    (`CauchyMatrix.terms`), built once when its slot is encoded and read by
+    the tau windows that contain it; slots before 0 are empty.
+    """
+
+    def __init__(self, p: CodeParams, matrix: CauchyMatrix) -> None:
+        self.params = p
+        self.matrix = matrix
+        self._terms: list[list[tuple[int, int]]] = [[] for _ in range(p.tau)]
+        self._tails: list[Sequence[int]] = [[] for _ in range(p.tau)]
+
+    def packet(self, i: int, symbols: Sequence[int], head_n: int, psz: int) -> list[int]:
+        """Slot i's channel packet: its message, then `psz` parity symbols,
+        each a tail symbol of slot i - tau plus the Cauchy combination of
+        the heads of slots i-tau..i-1. Slot i's first `head_n` symbols then
+        take slot i - tau's place in the ring."""
+        p, matrix = self.params, self.matrix
+        ring = i % p.tau  # slot i - tau's place, whose tail rides in this parity
+        parity: list[int] = []
+        if psz:
+            window = list(chain.from_iterable(self._terms))
+            tail = self._tails[ring]
+            if window:
+                prime = matrix.combine(window, block(p, i, psz))
+                parity = [u ^ c for u, c in zip(tail, prime)]
+            else:  # no head symbol in the window: the parity is the tail
+                parity = list(tail)
+        self._terms[ring] = (
+            matrix.terms(block(p, i, head_n), symbols[:head_n]) if head_n else []
+        )
+        self._tails[ring] = symbols[head_n:]
+        return list(symbols) + parity  # a concatenation is allocated exactly
+
+
 class VgmsEncoder:
     """Slot-ordered online encoder; feed packets for slots 0, 1, .. in order.
 
-    Memory holds the pieces of the last tau slots, Theta(tau * m) symbols,
-    in a ring indexed by slot mod tau. Each head is kept as its log-domain
-    terms (`CauchyMatrix.terms`), built once when its slot is encoded and
-    read by the tau windows that contain it.
+    Grows its own layout one `split` per slot, from the sizes seen so far:
+    the paper's construction, and the reference that `encode_stream` is
+    tested against.
     """
 
     def __init__(self, p: CodeParams, matrix: CauchyMatrix) -> None:
         self.layout = VgmsLayout(p)
         _check_matrix(p, matrix)
-        self.params = p
-        self.matrix = matrix
-        # head terms and tails of slots i-tau..i-1 at index slot mod tau;
-        # slots before 0 are empty
-        self._terms: list[list[tuple[int, int]]] = [[] for _ in range(p.tau)]
-        self._tails: list[list[int]] = [[] for _ in range(p.tau)]
+        self._ring = _ParityRing(p, matrix)
 
     @property
     def next_slot(self) -> int:
         return len(self.layout.k_sizes)
 
     def encode_slot(self, symbols: Sequence[int]) -> list[int]:
-        p = self.params
         i = self.next_slot
-        if not in_field(self.matrix.field, symbols):
+        if not in_field(self._ring.matrix.field, symbols):
             raise ValueError(f"message at slot {i} has an out-of-field symbol")
         head_n = self.layout.split(len(symbols))
-        ring = i % p.tau  # slot i - tau's place, whose tail rides in this parity
-
-        parity: list[int] = []
-        psz = self.layout.parity_sizes[i]
-        if psz:
-            window = list(chain.from_iterable(self._terms))
-            prime = self.matrix.combine(window, block(p, i, psz))
-            parity = [u ^ c for u, c in zip(self._tails[ring], prime)]
-
-        self._terms[ring] = self.matrix.terms(block(p, i, head_n), symbols[:head_n])
-        self._tails[ring] = symbols[head_n:]
-        return list(symbols) + parity
-
-
-@dataclass
-class VgmsStream:
-    packets: list[list[int]]
-    layout: VgmsLayout
+        return self._ring.packet(i, symbols, head_n, self.layout.parity_sizes[i])
 
 
 def encode_stream(
-    p: CodeParams, matrix: CauchyMatrix, payload: Sequence[Sequence[int]]
-) -> VgmsStream:
-    """Encode a full terminated stream slot by slot with the online encoder."""
+    layout: VgmsLayout, matrix: CauchyMatrix, payload: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """Channel packets of a whole terminated stream, from its layout.
+
+    `layout` is the stream's own, from `packet_layout`, as `decode_stream`
+    takes it; the packets are those the online `VgmsEncoder` sends when fed
+    the payload slot by slot. Raises ValueError for a wrong matrix size, a
+    layout or payload that does not cover slots 0..t, a message whose size
+    is not the layout's, or an out-of-field symbol.
+    """
+    p = layout.params
+    _check_matrix(p, matrix)
+    if len(layout.k_sizes) != p.t + 1:
+        raise ValueError("layout must cover slots 0..t")
     if len(payload) != p.t + 1:
         raise ValueError("payload must cover slots 0..t")
-    enc = VgmsEncoder(p, matrix)
-    packets = [enc.encode_slot(pkt) for pkt in payload]
-    return VgmsStream(packets, enc.layout)
+    fld = matrix.field
+    ring = _ParityRing(p, matrix)
+    packets = []
+    slots = zip(payload, layout.k_sizes, layout.head_sizes, layout.parity_sizes)
+    for i, (symbols, k, head_n, psz) in enumerate(slots):
+        if len(symbols) != k:
+            raise ValueError("payload does not match the size sequence")
+        if not in_field(fld, symbols):
+            raise ValueError(f"message at slot {i} has an out-of-field symbol")
+        packets.append(ring.packet(i, symbols, head_n, psz))
+    return packets
 
 
 @dataclass

@@ -54,6 +54,17 @@ def test_terminate_rejects_oversize():
         terminate_sizes([4], 4, 3)
 
 
+@pytest.mark.parametrize(
+    "raw, slot", [([1.7, 2], 0), ([3, 2.0], 1), ([1, "3"], 1), ([None], 0), ([2, 1, b"1"], 2)]
+)
+def test_sizes_that_are_not_integers_are_refused(raw, slot):
+    # int() would truncate 1.7 to 1 and parse "3"; both entry points refuse
+    with pytest.raises(ValueError, match=f"message size .* at slot {slot} is not an integer"):
+        terminate_sizes(raw, 2, 4)
+    with pytest.raises(ValueError, match=f"at slot {slot} is not an integer"):
+        SizeSequence(raw)
+
+
 @pytest.mark.parametrize("tau", [2**62, 10**20])
 def test_terminate_refuses_a_tail_too_large_to_allocate(tau):
     # one a list can index but not hold, and one past what it can index

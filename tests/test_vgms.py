@@ -1,6 +1,9 @@
 """The online codec: golden layout, burst recovery, invariants, and an
 independent linear-algebra cross-check of the encoder and decoder."""
 
+import copy
+import dataclasses
+import functools
 import random
 
 import pytest
@@ -111,12 +114,12 @@ def test_zero_size_packet_splits_empty():
 def test_encode_sizes_and_systematic_prefix():
     p, fld, seq, matrix = ref_setup()
     payload = random_payload(seq, fld, 3)
-    stream = encode_stream(p, matrix, payload)
-    assert [len(x) for x in stream.packets] == [3, 2, 1, 2, 4, 2, 0, 0, 1]
+    packets = encode_stream(packet_layout(seq, p), matrix, payload)
+    assert [len(x) for x in packets] == [3, 2, 1, 2, 4, 2, 0, 0, 1]
     for i in range(4):  # before tau, the packet is exactly the message
-        assert stream.packets[i] == payload[i]
+        assert packets[i] == payload[i]
     for i in range(seq.t + 1):  # systematic prefix everywhere
-        assert stream.packets[i][: seq.size(i)] == payload[i]
+        assert packets[i][: seq.size(i)] == payload[i]
 
 
 def test_parity_equals_tail_when_heads_are_zero():
@@ -126,12 +129,12 @@ def test_parity_equals_tail_when_heads_are_zero():
     for i in range(seq.t + 1):  # zero the head symbols, keep the tails
         for r in range(layout.head_sizes[i]):
             payload[i][r] = 0
-    stream = encode_stream(p, matrix, payload)
+    packets = encode_stream(layout, matrix, payload)
     for i in range(4, seq.t + 1):
         psz = layout.parity_sizes[i]
         if psz:
             tail = payload[i - 4][layout.head_sizes[i - 4] :]
-            assert stream.packets[i][seq.size(i) :] == tail
+            assert packets[i][seq.size(i) :] == tail
 
 
 def reference_window_parity(matrix, p, j, n, heads):
@@ -160,19 +163,19 @@ def test_encoder_parity_matches_reference_window_product(degree):
         p = make_params(tau, b, m=m, t=seq.t)
         matrix = build_cauchy(p.tau * p.m, fld, rng.randrange(100))
         payload = [[rng.choice((0, rng.randrange(fld.order))) for _ in range(k)] for k in seq]
-        stream = encode_stream(p, matrix, payload)
-        layout = stream.layout
+        layout = packet_layout(seq, p)
+        packets = encode_stream(layout, matrix, payload)
         heads = [msg[:v] for msg, v in zip(payload, layout.head_sizes)]
         seen["zero head symbol"] |= any(0 in head for head in heads)
         seen["empty head"] |= any(k and not v for k, v in zip(seq, layout.head_sizes))
         seen["empty message"] |= 0 in sizes
-        for i, pkt in enumerate(stream.packets):
+        for i, pkt in enumerate(packets):
             k, psz = seq.size(i), layout.parity_sizes[i]
             tail = payload[i - tau][layout.head_sizes[i - tau] :] if psz else []
             prime = reference_window_parity(matrix, p, i, psz, heads)
             assert pkt[k:] == [u ^ c for u, c in zip(tail, prime)], (degree, tau, i)
         for pattern in single_burst_patterns(p):
-            res = decode_stream(layout, matrix, apply_pattern(pattern, stream.packets))
+            res = decode_stream(layout, matrix, apply_pattern(pattern, packets))
             assert res.messages == payload, (degree, tau, pattern)
     assert all(seen.values()), seen
 
@@ -182,14 +185,14 @@ def test_decoded_messages_are_fresh_lists():
     # message shares storage with a received packet
     p, fld, seq, matrix = ref_setup()
     payload = random_payload(seq, fld, 7)
-    stream = encode_stream(p, matrix, payload)
     layout = packet_layout(seq, p)
+    packets = encode_stream(layout, matrix, payload)
     for pattern in ((), (0, 1), (2, 3), (4,)):
-        as_tuples = apply_pattern(pattern, [tuple(pkt) for pkt in stream.packets])
+        as_tuples = apply_pattern(pattern, [tuple(pkt) for pkt in packets])
         res = decode_stream(layout, matrix, as_tuples)
         assert all(type(msg) is list for msg in res.messages), pattern
         assert res.messages == payload, pattern
-        received = apply_pattern(pattern, [list(pkt) for pkt in stream.packets])
+        received = apply_pattern(pattern, [list(pkt) for pkt in packets])
         copies = [None if pkt is None else list(pkt) for pkt in received]
         for msg in decode_stream(layout, matrix, received).messages:
             msg.append(0)
@@ -206,10 +209,14 @@ def test_encoder_rejects_oversized_packet():
 
 def test_matrix_of_the_wrong_size_rejected():
     p, fld, seq, matrix = ref_setup()
-    stream = encode_stream(p, matrix, random_payload(seq, fld, 1))
+    layout = packet_layout(seq, p)
+    payload = random_payload(seq, fld, 1)
+    packets = encode_stream(layout, matrix, payload)
     small = build_cauchy(p.tau * p.m - 1, fld, 0)
+    with pytest.raises(ValueError, match="parity matrix must be 12 x 12, got 11"):
+        encode_stream(layout, small, payload)
     with pytest.raises(ValueError, match="parity matrix must be"):
-        decode_stream(packet_layout(seq, p), small, stream.packets)
+        decode_stream(layout, small, packets)
     with pytest.raises(ValueError, match="parity matrix must be"):
         VgmsEncoder(p, small)
 
@@ -218,33 +225,49 @@ def test_symbols_are_checked_against_the_matrix_field():
     # a GF(2^16) symbol does not fit the GF(2^8) matrix of the reference setup
     p, fld, seq, matrix = ref_setup()
     payload = random_payload(seq, fld, 1)
-    stream = encode_stream(p, matrix, payload)
+    layout = packet_layout(seq, p)
+    packets = encode_stream(layout, matrix, payload)
     payload[2][0] = 256
-    with pytest.raises(ValueError, match="out-of-field"):
-        encode_stream(p, matrix, payload)
-    received = [list(pkt) for pkt in stream.packets]
+    with pytest.raises(ValueError, match="message at slot 2 has an out-of-field symbol"):
+        encode_stream(layout, matrix, payload)
+    received = [list(pkt) for pkt in packets]
     received[2][0] = 256
     with pytest.raises(ValueError, match="out-of-field"):
-        decode_stream(packet_layout(seq, p), matrix, received)
+        decode_stream(layout, matrix, received)
 
 
 def test_stream_calls_need_whole_streams():
     p, fld, seq, matrix = ref_setup()
     payload = random_payload(seq, fld, 1)
-    with pytest.raises(ValueError, match="payload must cover"):
-        encode_stream(p, matrix, payload[:-1])
-    stream = encode_stream(p, matrix, payload)
+    layout = packet_layout(seq, p)
+    for short_or_long in (payload[:-1], payload + [[]]):
+        with pytest.raises(ValueError, match="payload must cover slots 0..t"):
+            encode_stream(layout, matrix, short_or_long)
+    packets = encode_stream(layout, matrix, payload)
     enc = VgmsEncoder(p, matrix)
-    enc.encode_slot(stream.packets[0])
+    enc.encode_slot(packets[0])
     with pytest.raises(ValueError, match="layout must cover"):
-        decode_stream(enc.layout, matrix, stream.packets)
+        encode_stream(enc.layout, matrix, payload)
+    with pytest.raises(ValueError, match="layout must cover"):
+        decode_stream(enc.layout, matrix, packets)
+
+
+@pytest.mark.parametrize("slot, change", [(0, -1), (3, 1), (4, -1), (6, 1)])
+def test_encode_stream_needs_the_layouts_sizes(slot, change):
+    # a message one symbol short or long, also at a zero-size slot
+    p, fld, seq, matrix = ref_setup()
+    payload = random_payload(seq, fld, 1)
+    payload[slot] = payload[slot][:-1] if change < 0 else payload[slot] + [0]
+    with pytest.raises(ValueError, match="payload does not match the size sequence"):
+        encode_stream(packet_layout(seq, p), matrix, payload)
 
 
 def test_lossless_decode_times_are_immediate():
     p, fld, seq, matrix = ref_setup()
     payload = random_payload(seq, fld, 1)
-    stream = encode_stream(p, matrix, payload)
-    res = decode_stream(packet_layout(seq, p), matrix, stream.packets)
+    layout = packet_layout(seq, p)
+    packets = encode_stream(layout, matrix, payload)
+    res = decode_stream(layout, matrix, packets)
     assert res.messages == payload
     assert res.decode_times == list(range(seq.t + 1))
 
@@ -252,9 +275,9 @@ def test_lossless_decode_times_are_immediate():
 def test_burst_over_head_slots_recovered_early():
     p, fld, seq, matrix = ref_setup()
     payload = random_payload(seq, fld, 2)
-    stream = encode_stream(p, matrix, payload)
     layout = packet_layout(seq, p)
-    res = decode_stream(layout, matrix, apply_pattern((2, 3), stream.packets))
+    packets = encode_stream(layout, matrix, payload)
+    res = decode_stream(layout, matrix, apply_pattern((2, 3), packets))
     assert res.messages == payload
     assert res.decode_times[2] <= 5 and res.decode_times[3] <= 5
 
@@ -262,9 +285,9 @@ def test_burst_over_head_slots_recovered_early():
 def test_burst_over_tail_slots_recovered_at_exact_deadline():
     p, fld, seq, matrix = ref_setup()
     payload = random_payload(seq, fld, 2)
-    stream = encode_stream(p, matrix, payload)
     layout = packet_layout(seq, p)
-    res = decode_stream(layout, matrix, apply_pattern((0, 1), stream.packets))
+    packets = encode_stream(layout, matrix, payload)
+    res = decode_stream(layout, matrix, apply_pattern((0, 1), packets))
     assert res.messages == payload
     assert res.decode_times[0] == 4  # tail symbols only appear tau slots later
     assert res.decode_times[1] == 5
@@ -273,10 +296,10 @@ def test_burst_over_tail_slots_recovered_at_exact_deadline():
 def test_inadmissible_pattern_rejected():
     p, fld, seq, matrix = ref_setup()
     payload = random_payload(seq, fld, 2)
-    stream = encode_stream(p, matrix, payload)
     layout = packet_layout(seq, p)
+    packets = encode_stream(layout, matrix, payload)
     with pytest.raises(ValueError):
-        decode_stream(layout, matrix, apply_pattern((0, 1, 2), stream.packets))
+        decode_stream(layout, matrix, apply_pattern((0, 1, 2), packets))
 
 
 @pytest.mark.parametrize(
@@ -287,12 +310,15 @@ def test_inadmissible_pattern_rejected():
     ],
 )
 def test_decode_failure_on_a_layout_short_of_parity(raw, b, short_slot, pattern, reason, first_bad):
-    # the decoder's layout allots one parity symbol too few to `short_slot`;
-    # the encoder builds its own layout, so the packets are whole
+    # only the decoder reads the cut copy of the layout, which allots one
+    # parity symbol too few to `short_slot`; the codec encodes from its own
+    # intact layout, so the packets are whole
     fld = GF(8)
     seq = terminate_sizes(raw, 4, 4)
     codec = bind_codec("vgms", make_params(4, b, m=4, t=seq.t), fld, seq)
-    codec.layout.parity_sizes[short_slot] -= 1
+    cut = copy.deepcopy(codec.layout)
+    cut.parity_sizes[short_slot] -= 1
+    codec.decode = functools.partial(decode_stream, cut, codec.matrix)
     payload = random_payload(seq, fld, 0)
     with pytest.raises(vgms.DecodeFailure) as failure:
         codec.decode(apply_pattern(pattern, codec.encode(payload)))
@@ -305,13 +331,64 @@ def test_decode_failure_on_a_layout_short_of_parity(raw, b, short_slot, pattern,
     )
 
 
+@pytest.mark.parametrize(
+    "w, cuts, pattern, reason",
+    [
+        # a window of 2 slots admits a second burst on the parity that
+        # phase 1 of the first burst reads
+        (2, {}, (2, 4), "parity slot 4 was erased"),
+        # slot 4's parity claims one symbol more than slot 0's tail holds
+        (5, {("parity_sizes", 4): 4}, (2,), "tail of slot 0 unknown"),
+        # a zero-size slot tau - 2 slots before the end given a tail
+        (5, {("k_sizes", 6): 1, ("tail_sizes", 6): 1}, (6,), "parity slot 10 unavailable for slot 6"),
+        # slot 0 keeps its 3 symbols but has neither head nor tail
+        (5, {("tail_sizes", 0): 0}, (0,), "no head decode time for slot 0"),
+        # a window of 2 slots admits a second burst inside the window of
+        # the parity that carries the first burst's tail
+        (2, {}, (0, 2), "head of slot 2 unexpectedly unknown"),
+    ],
+)
+def test_decode_failure_on_a_broken_layout(w, cuts, pattern, reason):
+    # the reference stream, w = 5 = tau + 1, decoded through a broken copy
+    # of its layout: a smaller channel window, or sizes set to `cuts`
+    p, fld, seq, matrix = ref_setup()
+    layout = packet_layout(seq, p)
+    payload = random_payload(seq, fld, 3)
+    received = apply_pattern(pattern, encode_stream(layout, matrix, payload))
+    broken = copy.deepcopy(layout)
+    broken.params = dataclasses.replace(p, w=w)
+    for (sizes, slot), value in cuts.items():
+        getattr(broken, sizes)[slot] = value
+    with pytest.raises(vgms.DecodeFailure) as failure:
+        decode_stream(broken, matrix, received)
+    assert str(failure.value) == reason
+    if w == p.w:  # the intact layout decodes the same packets
+        assert decode_stream(layout, matrix, received).messages == payload
+    else:
+        with pytest.raises(ValueError, match="not admissible"):
+            decode_stream(layout, matrix, received)
+
+
+def test_decode_failure_on_an_erasure_outside_every_burst(monkeypatch):
+    # every erased slot lies in a run that `check_received` returns, so no
+    # layout can leave one unrecovered; a check that drops the last run does
+    p, fld, seq, matrix = ref_setup()
+    layout = packet_layout(seq, p)
+    received = apply_pattern((0, 6), encode_stream(layout, matrix, random_payload(seq, fld, 3)))
+    check = vgms.check_received
+    monkeypatch.setattr(vgms, "check_received", lambda *args: check(*args)[:-1])
+    with pytest.raises(vgms.DecodeFailure) as failure:
+        decode_stream(layout, matrix, received)
+    assert str(failure.value) == "slot 6 was never recovered"
+
+
 def test_round_trip_all_patterns_reference_stream():
     p, fld, seq, matrix = ref_setup()
     payload = random_payload(seq, fld, 5)
-    stream = encode_stream(p, matrix, payload)
     layout = packet_layout(seq, p)
+    packets = encode_stream(layout, matrix, payload)
     for pattern in all_patterns(p):
-        res = decode_stream(layout, matrix, apply_pattern(pattern, stream.packets))
+        res = decode_stream(layout, matrix, apply_pattern(pattern, packets))
         assert res.messages == payload, pattern
         for i in range(seq.t + 1):
             if seq.size(i):
@@ -327,11 +404,11 @@ def test_round_trip_random_grid_single_bursts():
                 p = make_params(tau, b, m=4, t=seq.t)
                 matrix = build_cauchy(p.tau * p.m, fld, seed)
                 payload = random_payload(seq, fld, seed)
-                stream = encode_stream(p, matrix, payload)
                 layout = packet_layout(seq, p)
+                packets = encode_stream(layout, matrix, payload)
                 for pattern in single_burst_patterns(p):
                     res = decode_stream(
-                        layout, matrix, apply_pattern(pattern, stream.packets)
+                        layout, matrix, apply_pattern(pattern, packets)
                     )
                     assert res.messages == payload, (tau, b, seed, pattern)
 
@@ -430,9 +507,10 @@ def test_encoder_matches_independent_linear_expansion():
     p, fld, seq, matrix = ref_setup(seed=2)
     payload = random_payload(seq, fld, 13)
     flat = [s for pkt in payload for s in pkt]
-    stream = encode_stream(p, matrix, payload)
-    rows = vgms_linear_rows(p, matrix, seq, stream.layout)
-    for i, pkt in enumerate(stream.packets):
+    layout = packet_layout(seq, p)
+    packets = encode_stream(layout, matrix, payload)
+    rows = vgms_linear_rows(p, matrix, seq, layout)
+    for i, pkt in enumerate(packets):
         for sym, row in zip(pkt, rows[i]):
             want = 0
             for idx, c in row.items():
@@ -449,12 +527,12 @@ def test_decoder_agrees_with_incremental_elimination():
     matrix = build_cauchy(p.tau * p.m, fld, 4)
     payload = random_payload(seq, fld, 21)
     flat = [s for pkt in payload for s in pkt]
-    stream = encode_stream(p, matrix, payload)
-    rows = vgms_linear_rows(p, matrix, seq, stream.layout)
-    off = symbol_offsets(seq)
     layout = packet_layout(seq, p)
+    packets = encode_stream(layout, matrix, payload)
+    rows = vgms_linear_rows(p, matrix, seq, layout)
+    off = symbol_offsets(seq)
     for pattern in all_patterns(p):
-        received = apply_pattern(pattern, stream.packets)
+        received = apply_pattern(pattern, packets)
         res = decode_stream(layout, matrix, received)
         assert res.messages == payload, pattern
         dec = IncrementalDecoder(fld, off[-1])
@@ -478,10 +556,10 @@ def test_wider_window_round_trips():
     p = make_params(3, 2, w=5, m=2, t=seq.t)
     matrix = build_cauchy(p.tau * p.m, fld, 8)
     payload = random_payload(seq, fld, 30)
-    stream = encode_stream(p, matrix, payload)
     layout = packet_layout(seq, p)
+    packets = encode_stream(layout, matrix, payload)
     for pattern in all_patterns(p):
-        res = decode_stream(layout, matrix, apply_pattern(pattern, stream.packets))
+        res = decode_stream(layout, matrix, apply_pattern(pattern, packets))
         assert res.messages == payload, pattern
 
 
@@ -502,7 +580,29 @@ def test_online_encoder_never_needs_future_sizes():
     # feeding slots one by one gives byte-identical packets to batch encode
     p, fld, seq, matrix = ref_setup(seed=6)
     payload = random_payload(seq, fld, 4)
-    stream = encode_stream(p, matrix, payload)
+    packets = encode_stream(packet_layout(seq, p), matrix, payload)
     enc = VgmsEncoder(p, matrix)
     incremental = [enc.encode_slot(payload[i]) for i in range(seq.t + 1)]
-    assert incremental == stream.packets
+    assert incremental == packets
+
+
+@pytest.mark.parametrize("degree", [8, 16])
+def test_encode_stream_matches_the_online_encoder(degree):
+    # the batch encode from the bound layout against the paper's online
+    # encoder, which splits each message as it arrives, on random streams
+    # with zero-size slots, zero symbols and tuple messages among them
+    fld = GF(degree)
+    rng = random.Random(f"encode:{degree}")
+    for tau, b, m in ((2, 1, 3), (3, 3, 2), (4, 2, 4), (5, 2, 3), (6, 4, 5)):
+        for _ in range(4):
+            sizes = [rng.choice((0, m, rng.randint(0, m))) for _ in range(rng.randint(1, 14))]
+            seq = terminate_sizes(sizes, tau, m)
+            p = make_params(tau, b, m=m, t=seq.t)
+            matrix = build_cauchy(p.tau * p.m, fld, rng.randrange(100))
+            payload = [[rng.choice((0, rng.randrange(fld.order))) for _ in range(k)] for k in seq]
+            payload = [tuple(msg) if rng.random() < 0.3 else msg for msg in payload]
+            layout = packet_layout(seq, p)
+            enc = VgmsEncoder(p, matrix)
+            online = [enc.encode_slot(msg) for msg in payload]
+            assert encode_stream(layout, matrix, payload) == online, (tau, b, list(seq))
+            assert enc.layout.trace() == layout.trace()
