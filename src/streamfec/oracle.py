@@ -5,10 +5,11 @@ counting recursion (no codec involved), and an exhaustive decode check that
 replays every enumerated loss pattern through a codec and its decoder. The
 codecs under test never feed the oracle side, so agreement is evidence.
 
-`judge_decode` is the one verdict on a single decode (symbols, then the
-worst-case deadline, then the lossless one for the empty pattern). The
-replay loop, `streamfec simulate` and the tests all judge by it, so a
-failure `verify` reports replays under `simulate` with the same reason.
+`judge_decode` is the one verdict on a single decode (one message and one
+decode time per slot, then the symbols, then the worst-case deadline, then
+the lossless one for the empty pattern). The replay loop, `streamfec
+simulate` and the tests all judge by it, so a failure `verify` reports
+replays under `simulate` with the same reason.
 
 `verify_stream` is the one per-stream check: the decode check, then
 `profile_gap`, which at zero lossless delay holds the online codec ("vgms")
@@ -108,9 +109,10 @@ class Counterexample:
 def judge_decode(
     codec, pattern: tuple[int, ...], result: DecodeResult, originals: Sequence[Sequence[int]]
 ) -> Counterexample | None:
-    """The one verdict on a decode: the recovered symbols match, the
-    worst-case deadline holds, and the empty pattern also meets the
-    codec's lossless deadline. `originals` must be a list of lists.
+    """The one verdict on a decode: the result holds one message and one
+    decode time per slot, the recovered symbols match, the worst-case
+    deadline holds, and the empty pattern also meets the codec's lossless
+    deadline. `originals` must be a list of lists.
 
     Returns the first failing (pattern, slot, reason), else None.
     """
@@ -126,14 +128,20 @@ def _deadlines(sizes: Sequence[int], tau: int) -> list[int]:
 def _judge(sizes, tau, tau_l, due, pattern, result, originals) -> Counterexample | None:
     """`judge_decode` on numbers read from the codec, so that the replay
     loop reads them once per stream rather than once per pattern; `due` is
-    `_deadlines(sizes, tau)`. A lossy decode that meets every deadline
-    passes in one C-level pass over `due`; any other goes through
+    `_deadlines(sizes, tau)`. A result without exactly one message and one
+    decode time per slot fails first; a well-formed one pays for that one
+    length comparison, since messages of another length differ from the
+    originals anyway. A lossy decode that meets every deadline passes in
+    one C-level pass over `due`; any other goes through
     `deadline_violation`, which names the slot."""
-    if result.messages != originals:
+    messages, times = result.messages, result.decode_times
+    if len(times) != len(sizes) or messages != originals:
+        if len(messages) != len(sizes) or len(times) != len(sizes):
+            shape = f"{len(messages)} messages and {len(times)} decode times"
+            return Counterexample(pattern, None, f"result holds {shape} for {len(sizes)} slots")
         for i, want in enumerate(originals):
-            if result.messages[i] != want:
+            if messages[i] != want:
                 return Counterexample(pattern, i, "recovered symbols differ")
-    times = result.decode_times
     if pattern and None not in times and all(map(le, compress(times, sizes), due)):
         return None
     bad, kind = deadline_violation(sizes, times, tau), "worst-case"

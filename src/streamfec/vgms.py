@@ -28,21 +28,27 @@ slot at a time from the sizes seen so far, as the paper's encoder does; it
 is the reference that `encode_stream` is tested against, and both build each
 packet by the one per-slot rule of `_ParityRing`.
 
-A burst erasing slots s..e is undone in two phases: first the erased heads
-are solved jointly from the parity columns of slots e+1..s+tau-1 (any square
+A burst erasing slots s..e is undone in two phases, and both read the one
+parity equation above with its known side cancelled. First the erased heads
+are solved jointly from the parity columns of slots e+1..s+tau-1, once the
+received tails and the known heads are cancelled out of them (any square
 Cauchy subsystem is invertible; we take the first sum-of-head-sizes columns
 in slot order). That subsystem is itself a Cauchy matrix, so
 `CauchyMatrix.solve_combination` inverts it in closed form, in O(n^2) for n
 erased head symbols, from one n x n block of logs and without building it.
-Then each erased tail falls out of its own parity segment tau slots after
-its slot.
+Then each erased tail is what is left of the parity tau slots after its slot
+once every head in that window is cancelled. The burst reads only slots
+e+1-tau..e+tau. Admissible runs start at least w slots apart and
+`require_valid` holds w > tau, so no other erasure lies there: each burst
+is decoded on its own, and the decoder carries no state from one to the
+next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Iterable, Sequence
 
 from .cauchy import CauchyMatrix
 from .channel import check_received, runs_admissible
@@ -252,23 +258,34 @@ def decode_stream(
     matrix: CauchyMatrix,
     received: Sequence[Sequence[int] | None],
 ) -> DecodeResult:
-    """Two-phase recovery of every erased message packet.
+    """Two-phase recovery of every erased message packet, one burst at a time.
 
     `layout` is the stream's own, from `packet_layout`; it holds the params
-    and sizes, and the field is the matrix's. Phase 1 per burst: cancel the
-    known tails and heads out of the parity segments right after the burst,
-    then solve one square Cauchy system for all erased heads jointly, in
-    closed form. Phase 2: recover each erased tail from the parity segment
-    exactly tau slots after its slot. The bursts are the erased runs that
-    `channel.check_received` returns once it has checked the list; the
-    admissibility rule (`channel.runs_admissible`) reads the same runs. A
-    received slot's message is a fresh slice of its packet; its head and
-    tail are read only when a burst's window needs them, and each nonempty
-    head's log-domain terms are built at most once per call. Raises
-    ValueError for malformed input (a wrong matrix size, list or packet
-    length, an out-of-field symbol) or an inadmissible pattern, and
-    DecodeFailure if recovery is impossible, which would mean a
-    construction bug.
+    and sizes, and the field is the matrix's. Both phases read one equation,
+    slot j's parity:
+
+        P[j] = tail[j - tau] + combine(heads of slots j-tau..j-1)
+
+    Phase 1 per burst s..e: cancel the received tail of slot j - tau and
+    the known heads (the burst's left out) out of the parity of each slot j
+    from e+1 on, then solve one square Cauchy system for all erased heads
+    jointly, in closed form. Phase 2: each erased slot l's tail is what is
+    left of slot l + tau's parity once every head of its window, the
+    burst's now solved, is cancelled. A burst s..e reads only slots
+    e+1-tau..e+tau, and an admissible pattern puts no other erasure there:
+    runs start at least w > tau slots apart (`require_valid`). So no state
+    passes from one burst to the next, and each erased tail is read from
+    the parity that carries it.
+
+    The bursts are the erased runs that `channel.check_received` returns
+    once it has checked the list; the admissibility rule
+    (`channel.runs_admissible`) reads the same runs. A received slot's
+    message is a fresh slice of its packet; its head is read only when a
+    burst's window needs it, and each nonempty head's log-domain terms are
+    built at most once per call. Raises ValueError for malformed input (a
+    wrong matrix size, list or packet length, an out-of-field symbol) or an
+    inadmissible pattern, and DecodeFailure if recovery is impossible,
+    which would mean a construction bug.
     """
     p = layout.params
     _check_matrix(p, matrix)
@@ -286,11 +303,27 @@ def decode_stream(
         for pkt, k in zip(received, k_sizes)
     ]
     times: list[int] = list(range(t + 1))  # an erased slot's is set when it is recovered
+    terms: dict[int, list[tuple[int, int]]] = {}  # head terms of a slot, once built
 
-    # per slot: head terms once built, and an erased slot's recovered pieces
-    terms: list[list[tuple[int, int]] | None] = [None] * (t + 1)
-    heads: list[list[int] | None] = [None] * (t + 1)
-    tails: list[list[int] | None] = [None] * (t + 1)
+    def cancel_known(j: int, n: int, tail: Iterable[int]) -> list[int]:
+        """Slot j's first n parity symbols + `tail` + the combination of
+        the known heads of slots j-tau..j-1 over slot j's columns: what is
+        left of the parity equation once its known side is cancelled. A
+        received head's terms are built on first use; an erased slot's are
+        set by its burst, empty until phase 1 has solved them."""
+        window: list[tuple[int, int]] = []
+        for l in range(max(j - tau, 0), j):
+            slot_terms = terms.get(l)
+            if slot_terms is None:
+                if messages[l] is None:
+                    raise DecodeFailure(f"head of slot {l} unexpectedly unknown")
+                head_n = head_sizes[l]
+                slot_terms = terms[l] = (
+                    matrix.terms(block(p, l, head_n), messages[l][:head_n]) if head_n else []
+                )
+            window += slot_terms
+        parity = received[j][k_sizes[j] : k_sizes[j] + n]
+        return [a ^ u ^ c for a, u, c in zip(parity, tail, matrix.combine(window, block(p, j, n)))]
 
     for run_start, run_end in runs:
         burst = range(run_start, run_end + 1)
@@ -312,19 +345,13 @@ def decode_stream(
                     )
                 psz = parity_sizes[j]
                 if psz:
-                    pkt = received[j]
-                    if pkt is None:
+                    if received[j] is None:
                         raise DecodeFailure(f"parity slot {j} was erased")
-                    q = j - tau  # received, or recovered with an earlier burst
-                    prev_tail = tails[q]
-                    if received[q] is not None:
-                        prev_tail = received[q][head_sizes[q] : k_sizes[q]]
-                    if prev_tail is None or len(prev_tail) != psz:
+                    q = j - tau  # received: no other burst lies within tau slots
+                    if received[q] is None or tail_sizes[q] != psz:
                         raise DecodeFailure(f"tail of slot {q} unknown")
                     take = min(psz, total_heads - len(cols))
-                    known = _window_parity(j, take, layout, matrix, received, terms)
-                    parity = pkt[k_sizes[j] : k_sizes[j] + take]
-                    rhs.extend(a ^ u ^ c for a, u, c in zip(parity, prev_tail, known))
+                    rhs += cancel_known(j, take, received[q][head_sizes[q] : k_sizes[q]])
                     cols.extend(block(p, j, take))
                     head_time = j
                 j += 1
@@ -332,14 +359,14 @@ def decode_stream(
             solution = matrix.solve_combination(rows, cols, rhs)
             offset = 0
             for l in unknown:
-                head = heads[l] = solution[offset : offset + head_sizes[l]]
+                head = messages[l] = solution[offset : offset + head_sizes[l]]
                 terms[l] = matrix.terms(block(p, l, head_sizes[l]), head)
                 offset += head_sizes[l]
 
         for l in burst:
+            message = messages[l] or []  # the solved head, if any
             tail_n = tail_sizes[l]
             if k_sizes[l] == 0:
-                tails[l] = []
                 times[l] = l  # termination: nothing to decode
             elif tail_n:
                 j2 = l + tau
@@ -347,48 +374,14 @@ def decode_stream(
                     raise DecodeFailure(f"parity slot {j2} unavailable for slot {l}")
                 if parity_sizes[j2] != tail_n:
                     raise DecodeFailure(f"parity slot {j2} misses the tail of {l}")
-                prime = _window_parity(j2, tail_n, layout, matrix, received, terms)
-                parity = received[j2][k_sizes[j2] :]
-                tails[l] = [u ^ c for u, c in zip(parity, prime)]
+                message += cancel_known(j2, tail_n, repeat(0))
                 times[l] = j2
             else:
-                tails[l] = []
                 if head_time is None:
                     raise DecodeFailure(f"no head decode time for slot {l}")
                 times[l] = head_time
-            messages[l] = (heads[l] or []) + tails[l]
+            messages[l] = message
 
     if None in messages:
         raise DecodeFailure(f"slot {messages.index(None)} was never recovered")
     return DecodeResult(messages, times)
-
-
-def _window_parity(
-    j: int,
-    n: int,
-    layout: VgmsLayout,
-    matrix: CauchyMatrix,
-    received: Sequence[Sequence[int] | None],
-    terms: list[list[tuple[int, int]] | None],
-) -> list[int]:
-    """First n parity symbols of slot j without the tail they carry: the
-    Cauchy combination of the heads of slots j-tau..j-1 over slot j's columns.
-
-    `terms[l]` holds slot l's head terms once built. A received slot's are
-    built from its packet on first use; an erased slot's are set when its
-    burst is solved, and are empty while it is being solved.
-    """
-    p = layout.params
-    window: list[tuple[int, int]] = []
-    for l in range(max(j - p.tau, 0), j):
-        slot_terms = terms[l]
-        if slot_terms is None:
-            pkt = received[l]
-            if pkt is None:
-                raise DecodeFailure(f"head of slot {l} unexpectedly unknown")
-            head_n = layout.head_sizes[l]
-            slot_terms = terms[l] = (
-                matrix.terms(block(p, l, head_n), pkt[:head_n]) if head_n else []
-            )
-        window += slot_terms
-    return matrix.combine(window, block(p, j, n))

@@ -7,7 +7,7 @@ import pytest
 
 from streamfec import oracle
 
-from streamfec.channel import erased_runs
+from streamfec.channel import apply_pattern, erased_runs
 from streamfec.codecs import bind_codec
 from streamfec.gf import GF
 from streamfec.model import (
@@ -248,6 +248,42 @@ def test_exhaustive_check_catches_corrupted_parity(monkeypatch):
         bad = check(Tampered(), payload, "single")
         assert isinstance(bad, Counterexample), check
         assert bad.reason == "recovered symbols differ", check
+
+
+class Reshaped:
+    """Decodes as the codec it wraps, then reshapes the result by `cut`."""
+
+    def __init__(self, codec, cut):
+        self.codec, self.cut = codec, cut
+
+    def __getattr__(self, attr):
+        return getattr(self.codec, attr)
+
+    def decode(self, received):
+        return self.cut(self.codec.decode(received))
+
+
+@pytest.mark.parametrize(
+    "cut, counts",
+    [
+        # too few decode times: compress and zip would truncate to them
+        (lambda res: DecodeResult(res.messages, res.decode_times[:2]), (9, 2)),
+        # too few messages: indexing them by slot would raise IndexError
+        (lambda res: DecodeResult(res.messages[:3], res.decode_times), (3, 9)),
+        (lambda res: DecodeResult(res.messages + [[]], res.decode_times), (10, 9)),
+    ],
+)
+def test_a_result_without_one_entry_per_slot_fails(cut, counts):
+    fld = GF(8)
+    seq = terminate_sizes([3, 2, 1, 2, 1], 4, 3)  # slots 0..8
+    codec = bind_codec("vgms", make_params(4, 2, m=3, t=seq.t), fld, seq)
+    payload = random_payload(seq, fld, 0)
+    reason = f"result holds {counts[0]} messages and {counts[1]} decode times for 9 slots"
+    reshaped = Reshaped(codec, cut)
+    for check in (exhaustive_decode_check, verify_stream):
+        assert check(reshaped, payload, "full") == Counterexample((), None, reason), check
+    result = cut(codec.decode(apply_pattern((2, 3), codec.encode(payload))))
+    assert judge_decode(codec, (2, 3), result, payload) == Counterexample((2, 3), None, reason)
 
 
 def decoded_before_burst(decode_times, pattern) -> bool:

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from streamfec.cauchy import build_cauchy, vec_mat
-from streamfec.channel import all_patterns, apply_pattern, single_burst_patterns
+from streamfec.channel import all_patterns, apply_pattern, erased_runs, single_burst_patterns
 from streamfec.gf import GF
 from streamfec.codecs import bind_codec
 from streamfec.linear import IncrementalDecoder
@@ -380,6 +380,39 @@ def test_decode_failure_on_an_erasure_outside_every_burst(monkeypatch):
     with pytest.raises(vgms.DecodeFailure) as failure:
         decode_stream(layout, matrix, received)
     assert str(failure.value) == "slot 6 was never recovered"
+
+
+def test_each_burst_reads_only_the_slots_within_tau_of_its_end():
+    # a burst over slots s..e reads only slots e+1-tau..e+tau, and w > tau
+    # keeps every other burst out of them: rewriting every symbol received
+    # anywhere else changes no recovered message and no decode time
+    fld = GF(8)
+    rng = random.Random("burst-local")
+    patterns = rewritten = 0
+    for _ in range(100):
+        tau = rng.randint(2, 5)
+        b, w, m = rng.randint(1, tau), rng.randint(tau + 1, tau + 3), rng.randint(1, 4)
+        raw = [rng.randint(0, m) for _ in range(rng.randint(1, 12 - tau))]
+        seq = terminate_sizes(raw, tau, m)  # at most 12 slots
+        p = make_params(tau, b, w=w, m=m, t=seq.t)
+        matrix = build_cauchy(p.tau * p.m, fld, rng.randrange(100))
+        layout = packet_layout(seq, p)
+        payload = random_payload(seq, fld, rng.randrange(100))
+        packets = encode_stream(layout, matrix, payload)
+        for pattern in all_patterns(p):
+            received = apply_pattern(pattern, packets)
+            want = decode_stream(layout, matrix, received)
+            read = {i for _, e in erased_runs(pattern) for i in range(e + 1 - tau, e + tau + 1)}
+            for i, pkt in enumerate(received):
+                if pkt is not None and i not in read:
+                    received[i] = [sym ^ rng.randrange(1, fld.order) for sym in pkt]
+                    rewritten += len(pkt)
+            got = decode_stream(layout, matrix, received)
+            assert got.decode_times == want.decode_times, (list(seq), w, pattern)
+            for i in pattern:
+                assert got.messages[i] == payload[i], (list(seq), w, pattern, i)
+            patterns += 1
+    assert patterns > 5000 and rewritten > 20000, (patterns, rewritten)
 
 
 def test_round_trip_all_patterns_reference_stream():
