@@ -26,6 +26,9 @@ Each case times one layer at a named point:
                       slots, so phase 1 solves their heads
     tail decode       VGMS decode of the burst over slots 0..b-1, which
                       hold no head, so only phase 2 runs
+    grid decode       `VgmsCodec.decode` of one grid stream under every
+                      admissible pattern, without the oracle's verdict:
+                      the decodes that grid-verify replays
     linear decode     `LinearCodec.decode` of one burst (linear-diagonal)
     oracle            `oracle.exhaustive_decode_check` of one grid stream
                       under every admissible pattern
@@ -156,6 +159,13 @@ def decode_call(point: str, starts):
     return build
 
 
+def grid_decode_call(sf):
+    codec, _, packets = stream(sf, "grid")
+    channel = sf.channel
+    received = [channel.apply_pattern(q, packets) for q in channel.all_patterns(codec.params)]
+    return lambda: [codec.decode(r) for r in received]
+
+
 def encode_call(point: str):
     def build(sf):
         codec, payload, _ = stream(sf, point)
@@ -232,6 +242,10 @@ CASES = {
     "tail decode": (
         BIND + ("channel.apply_pattern", "codecs.VgmsCodec.decode"),
         each_tree(decode_call("vgms-bulk", [0])),
+    ),
+    "grid decode": (
+        BIND + ("channel.all_patterns", "channel.apply_pattern", "codecs.VgmsCodec.decode"),
+        each_tree(grid_decode_call),
     ),
     "linear decode": (
         BIND + ("channel.apply_pattern", "codecs.LinearCodec.decode"),

@@ -158,7 +158,11 @@ def exhaustive_decode_check(
     codec, payload: Sequence[Sequence[int]], mode: str
 ) -> Counterexample | None:
     """Encode once, then decode every enumerated pattern and judge it by
-    `judge_decode`; a decode that raises `DecodeFailure` fails too.
+    `judge_decode`. A decode that raises fails too: the received list is
+    the oracle's own, made from the codec's encode by an enumerated
+    pattern, so whatever the decoder raises on it, `DecodeFailure` or any
+    other exception, is a counterexample whose reason names the exception.
+    An unknown `mode` raises ValueError before any decode.
 
     Returns the first failing (pattern, slot, reason), else None.
     """
@@ -168,10 +172,13 @@ def exhaustive_decode_check(
     packets = codec.encode(payload)
     originals = [list(pkt) for pkt in payload]
     for pattern in enumerate_patterns(p, mode):
+        received = apply_pattern(pattern, packets)
         try:
-            result = codec.decode(apply_pattern(pattern, packets))
+            result = codec.decode(received)
         except DecodeFailure as exc:
             return Counterexample(pattern, None, f"decode failure: {exc}")
+        except Exception as exc:
+            return Counterexample(pattern, None, f"decode raised {type(exc).__name__}: {exc}")
         bad = _judge(sizes, p.tau, tau_l, due, pattern, result, originals)
         if bad is not None:
             return bad

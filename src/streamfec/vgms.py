@@ -42,13 +42,23 @@ e+1-tau..e+tau. Admissible runs start at least w slots apart and
 `require_valid` holds w > tau, so no other erasure lies there: each burst
 is decoded on its own, and the decoder carries no state from one to the
 next.
+
+A decode does only the work its bursts need. With nothing erased it
+returns once the received list is checked; a burst whose slots all have
+size 0 is recovered without reading any parity; windows skip slots without
+a head, and a window that holds no head costs no `combine`: its parity
+slice, XOR the received tail in phase 1, is the answer. Whether a window
+holds a head is one subtraction of the layout's running count of slots
+with a head (`VgmsLayout.head_counts`), which `split` grows from the sizes
+alone, so the online encoder's layout has it too; nothing is kept from
+one decode to the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
 from .cauchy import CauchyMatrix
 from .channel import check_received, runs_admissible
@@ -61,7 +71,8 @@ class DecodeFailure(Exception):
 
 
 class VgmsLayout:
-    """Per-slot split and parity sizes, grown one slot at a time by `split`.
+    """Per-slot split and parity sizes, grown one slot at a time by `split`,
+    and a running count of the slots that carry a head.
 
     A pure function of the size sequence, so the decoder uses exactly what
     the encoder used.
@@ -76,6 +87,9 @@ class VgmsLayout:
         # indexed 0..t+tau; slots beyond t are never sent
         self.parity_sizes: list[int] = [0] * p.tau
         self.n_sizes: list[int] = []  # channel packet size of each split slot
+        # slots before slot i whose head is nonempty, indexed 0..t+1, so a
+        # window of slots lo..j-1 holds a head iff the two counts differ
+        self.head_counts: list[int] = [0]
         # spare-parity minimum at each split, None before slot b
         self.budgets: list[int | None] = []
 
@@ -99,6 +113,7 @@ class VgmsLayout:
         self.parity_sizes.append(k - head)  # lands at slot i + tau
         self.budgets.append(budget)
         self.n_sizes.append(k + self.parity_sizes[i])  # slot i's parity is set by now
+        self.head_counts.append(self.head_counts[i] + (head > 0))
         return head
 
     def n_size(self, i: int) -> int:
@@ -253,6 +268,40 @@ class DecodeResult:
     decode_times: list[int | None]
 
 
+def _cancel_known(layout, matrix, received, messages, terms, j, n, tail) -> Sequence[int]:
+    """Slot j's first n parity symbols + `tail` (None: no tail) + the
+    combination of the known heads of slots j-tau..j-1 over slot j's
+    columns: what is left of `decode_stream`'s parity equation once its
+    known side is cancelled. Slots without a head are skipped, and a window
+    that holds none (by `layout.head_counts`) costs no `combine`. A received
+    head's terms go into `terms` on first use; an erased slot's are set by
+    its burst, empty until phase 1 has solved them."""
+    p = layout.params
+    k = layout.k_sizes[j]
+    parity = received[j][k : k + n]  # a slice: the caller's to keep
+    if tail is not None:
+        parity = [a ^ u for a, u in zip(parity, tail)]
+    lo = j - p.tau if j > p.tau else 0
+    window: list[tuple[int, int]] = []
+    head_counts = layout.head_counts
+    if head_counts[j] != head_counts[lo]:
+        head_sizes = layout.head_sizes
+        for l in range(lo, j):
+            head_n = head_sizes[l]
+            if head_n:
+                slot_terms = terms.get(l)
+                if slot_terms is None:
+                    if messages[l] is None:
+                        raise DecodeFailure(f"head of slot {l} unexpectedly unknown")
+                    slot_terms = terms[l] = matrix.terms(
+                        block(p, l, head_n), messages[l][:head_n]
+                    )
+                window += slot_terms
+    if not window:
+        return parity
+    return [a ^ c for a, c in zip(parity, matrix.combine(window, block(p, j, n)))]
+
+
 def decode_stream(
     layout: VgmsLayout,
     matrix: CauchyMatrix,
@@ -277,6 +326,12 @@ def decode_stream(
     passes from one burst to the next, and each erased tail is read from
     the parity that carries it.
 
+    Work a burst does not need is skipped: with nothing erased the call
+    returns once the list is checked, a burst over slots of size 0 reads no
+    parity, slots without a head are left out of every window, and a window
+    without a head, by the layout's `head_counts` (from the sizes alone),
+    calls no `combine`. Nothing is kept across calls.
+
     The bursts are the erased runs that `channel.check_received` returns
     once it has checked the list; the admissibility rule
     (`channel.runs_admissible`) reads the same runs. A received slot's
@@ -296,45 +351,31 @@ def decode_stream(
     if not runs_admissible(runs, p):
         raise ValueError("loss pattern is not admissible for this channel")
 
-    k_sizes, head_sizes, tail_sizes = layout.k_sizes, layout.head_sizes, layout.tail_sizes
-    parity_sizes = layout.parity_sizes
+    k_sizes = layout.k_sizes
     messages: list[list[int] | None] = [
         None if pkt is None else pkt[:k] if type(pkt) is list else list(pkt[:k])
         for pkt, k in zip(received, k_sizes)
     ]
     times: list[int] = list(range(t + 1))  # an erased slot's is set when it is recovered
+    if not runs:
+        return DecodeResult(messages, times)
+    head_sizes, tail_sizes, parity_sizes = layout.head_sizes, layout.tail_sizes, layout.parity_sizes
     terms: dict[int, list[tuple[int, int]]] = {}  # head terms of a slot, once built
-
-    def cancel_known(j: int, n: int, tail: Iterable[int]) -> list[int]:
-        """Slot j's first n parity symbols + `tail` + the combination of
-        the known heads of slots j-tau..j-1 over slot j's columns: what is
-        left of the parity equation once its known side is cancelled. A
-        received head's terms are built on first use; an erased slot's are
-        set by its burst, empty until phase 1 has solved them."""
-        window: list[tuple[int, int]] = []
-        for l in range(max(j - tau, 0), j):
-            slot_terms = terms.get(l)
-            if slot_terms is None:
-                if messages[l] is None:
-                    raise DecodeFailure(f"head of slot {l} unexpectedly unknown")
-                head_n = head_sizes[l]
-                slot_terms = terms[l] = (
-                    matrix.terms(block(p, l, head_n), messages[l][:head_n]) if head_n else []
-                )
-            window += slot_terms
-        parity = received[j][k_sizes[j] : k_sizes[j] + n]
-        return [a ^ u ^ c for a, u, c in zip(parity, tail, matrix.combine(window, block(p, j, n)))]
 
     for run_start, run_end in runs:
         burst = range(run_start, run_end + 1)
+        if not any(k_sizes[run_start : run_end + 1]):  # nothing was sent: nothing to read
+            for l in burst:
+                messages[l] = []
+            continue
         total_heads = sum(head_sizes[run_start : run_end + 1])
         head_time: int | None = None
-        for l in burst:  # empty until solved, so phase 1 leaves them out
-            terms[l] = []
 
         if total_heads:
             unknown = [l for l in burst if head_sizes[l]]
             rows = [r for l in unknown for r in block(p, l, head_sizes[l])]
+            for l in unknown:  # empty until solved, so phase 1 leaves them out
+                terms[l] = []
             cols: list[int] = []
             rhs: list[int] = []
             j = run_end + 1
@@ -348,10 +389,13 @@ def decode_stream(
                     if received[j] is None:
                         raise DecodeFailure(f"parity slot {j} was erased")
                     q = j - tau  # received: no other burst lies within tau slots
-                    if received[q] is None or tail_sizes[q] != psz:
+                    if received[q] is None:
                         raise DecodeFailure(f"tail of slot {q} unknown")
+                    if tail_sizes[q] != psz:
+                        raise DecodeFailure(f"parity slot {j} misses the tail of {q}")
                     take = min(psz, total_heads - len(cols))
-                    rhs += cancel_known(j, take, received[q][head_sizes[q] : k_sizes[q]])
+                    tail = received[q][head_sizes[q] : k_sizes[q]]
+                    rhs += _cancel_known(layout, matrix, received, messages, terms, j, take, tail)
                     cols.extend(block(p, j, take))
                     head_time = j
                 j += 1
@@ -374,7 +418,9 @@ def decode_stream(
                     raise DecodeFailure(f"parity slot {j2} unavailable for slot {l}")
                 if parity_sizes[j2] != tail_n:
                     raise DecodeFailure(f"parity slot {j2} misses the tail of {l}")
-                message += cancel_known(j2, tail_n, repeat(0))
+                message += _cancel_known(
+                    layout, matrix, received, messages, terms, j2, tail_n, None
+                )
                 times[l] = j2
             else:
                 if head_time is None:

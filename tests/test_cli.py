@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from streamfec import cli, gap, oracle
+from streamfec import cli, gap, oracle, vgms
 from streamfec.cauchy import SingularMatrixError
 from streamfec.cli import main
 from streamfec.codecs import VgmsCodec
@@ -541,6 +541,33 @@ def test_verify_failure_names_seed_and_sizes(
     else:
         assert failure["slot"] == 0 and failure["want"] == failure["have"] + 1
         assert "replay" not in failure  # a profile gap is the stream's, not a decode's
+
+
+def test_verify_names_a_pattern_whose_decode_raises(capsys, monkeypatch):
+    # a decoder that refuses one admissible burst raises ValueError on a
+    # received list the oracle made itself: a counterexample (exit 1) that
+    # names the pattern, not a configuration error (exit 2)
+    real = vgms.runs_admissible
+    monkeypatch.setattr(
+        vgms, "runs_admissible", lambda runs, p: runs != [(3, 4)] and real(runs, p)
+    )
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        "--codec", "vgms",
+        "--tau", "3",
+        "--b", "2",
+        "--t", "8",
+        "--seeds", "1",
+        "--field-degree", "8",
+    )
+    assert code == 1
+    assert err == "error: counterexample at seed 0\n"
+    failure = json.loads(out)["failure"]
+    assert (failure["seed"], failure["pattern"], failure["slot"]) == (0, [3, 4], None)
+    assert failure["reason"] == (
+        "decode raised ValueError: loss pattern is not admissible for this channel"
+    )
 
 
 def wrong_symbol_under_loss(monkeypatch):

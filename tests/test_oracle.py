@@ -167,6 +167,11 @@ def test_check_minimality_reports_first_gap():
     assert gap is not None and gap.slot == 1
 
 
+def test_check_minimality_needs_profiles_of_one_length():
+    with pytest.raises(ValueError, match="profiles must cover the same slots"):
+        check_minimality([3, 5, 7], [3, 5], exact=False)
+
+
 def test_exhaustive_check_passes_for_vgms():
     fld = GF(8)
     seq = terminate_sizes(random_sizes(5, 3, 2), 3, 3)
@@ -284,6 +289,46 @@ def test_a_result_without_one_entry_per_slot_fails(cut, counts):
         assert check(reshaped, payload, "full") == Counterexample((), None, reason), check
     result = cut(codec.decode(apply_pattern((2, 3), codec.encode(payload))))
     assert judge_decode(codec, (2, 3), result, payload) == Counterexample((2, 3), None, reason)
+
+
+class Raising:
+    """Decodes as the codec it wraps, but raises `exc` once slot 2 is lost."""
+
+    def __init__(self, codec, exc):
+        self.codec, self.exc, self.decodes = codec, exc, 0
+
+    def __getattr__(self, attr):
+        return getattr(self.codec, attr)
+
+    def decode(self, received):
+        self.decodes += 1
+        if received[2] is None:
+            raise self.exc
+        return self.codec.decode(received)
+
+
+@pytest.mark.parametrize(
+    "exc, reason",
+    [
+        (IndexError("planted"), "decode raised IndexError: planted"),
+        (ValueError("loss pattern refused"), "decode raised ValueError: loss pattern refused"),
+    ],
+)
+def test_a_decode_that_raises_on_the_oracles_list_is_a_counterexample(exc, reason):
+    # the oracle made the received list from the codec's own encode, so a
+    # decoder that raises on it fails, whatever it raises
+    fld = GF(8)
+    seq = terminate_sizes([3, 2, 1, 2, 1], 4, 3)  # slots 0..8
+    codec = bind_codec("vgms", make_params(4, 2, m=3, t=seq.t), fld, seq)
+    payload = random_payload(seq, fld, 0)
+    for check in (exhaustive_decode_check, verify_stream):
+        raising = Raising(codec, exc)
+        assert check(raising, payload, "full") == Counterexample((1, 2), None, reason), check
+    # an unknown mode is refused before any decode
+    raising = Raising(codec, exc)
+    with pytest.raises(ValueError, match="unknown enumeration mode"):
+        exhaustive_decode_check(raising, payload, "every")
+    assert raising.decodes == 0
 
 
 def decoded_before_burst(decode_times, pattern) -> bool:

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from streamfec.cauchy import build_cauchy, vec_mat
+from streamfec.cauchy import CauchyMatrix, build_cauchy, vec_mat
 from streamfec.channel import all_patterns, apply_pattern, erased_runs, single_burst_patterns
 from streamfec.gf import GF
 from streamfec.codecs import bind_codec
@@ -207,6 +207,16 @@ def test_encoder_rejects_oversized_packet():
         enc.encode_slot([1, 2, 3, 4])
 
 
+def test_encoder_rejects_an_out_of_field_symbol():
+    # a GF(2^16) symbol does not fit the GF(2^8) matrix; no slot is split
+    p, fld, seq, matrix = ref_setup()
+    enc = VgmsEncoder(p, matrix)
+    enc.encode_slot([1, 2, 3])
+    with pytest.raises(ValueError, match="message at slot 1 has an out-of-field symbol"):
+        enc.encode_slot([5, 256])
+    assert enc.next_slot == 1
+
+
 def test_matrix_of_the_wrong_size_rejected():
     p, fld, seq, matrix = ref_setup()
     layout = packet_layout(seq, p)
@@ -337,8 +347,9 @@ def test_decode_failure_on_a_layout_short_of_parity(raw, b, short_slot, pattern,
         # a window of 2 slots admits a second burst on the parity that
         # phase 1 of the first burst reads
         (2, {}, (2, 4), "parity slot 4 was erased"),
-        # slot 4's parity claims one symbol more than slot 0's tail holds
-        (5, {("parity_sizes", 4): 4}, (2,), "tail of slot 0 unknown"),
+        # slot 4's parity claims one symbol more than slot 0's received
+        # tail holds
+        (5, {("parity_sizes", 4): 4}, (2,), "parity slot 4 misses the tail of 0"),
         # a zero-size slot tau - 2 slots before the end given a tail
         (5, {("k_sizes", 6): 1, ("tail_sizes", 6): 1}, (6,), "parity slot 10 unavailable for slot 6"),
         # slot 0 keeps its 3 symbols but has neither head nor tail
@@ -346,6 +357,10 @@ def test_decode_failure_on_a_layout_short_of_parity(raw, b, short_slot, pattern,
         # a window of 2 slots admits a second burst inside the window of
         # the parity that carries the first burst's tail
         (2, {}, (0, 2), "head of slot 2 unexpectedly unknown"),
+        # a window of 2 slots admits a burst on slot 0, cut to size 0 so that
+        # its own decode reads no parity, ahead of the burst whose phase 1
+        # reads slot 0's tail
+        (2, {("k_sizes", 0): 0}, (0, 2, 3), "tail of slot 0 unknown"),
     ],
 )
 def test_decode_failure_on_a_broken_layout(w, cuts, pattern, reason):
@@ -639,3 +654,63 @@ def test_encode_stream_matches_the_online_encoder(degree):
             online = [enc.encode_slot(msg) for msg in payload]
             assert encode_stream(layout, matrix, payload) == online, (tau, b, list(seq))
             assert enc.layout.trace() == layout.trace()
+
+
+def brute_force_head_counts(head_sizes):
+    return [sum(1 for v in head_sizes[:i] if v) for i in range(len(head_sizes) + 1)]
+
+
+def test_head_counts_count_the_slots_with_a_head():
+    # the running count against a brute-force count, on layouts that
+    # packet_layout builds and on the online encoder's, after every slot
+    fld = GF(8)
+    rng = random.Random("head-counts")
+    head_free = with_head = 0
+    for _ in range(40):
+        tau = rng.randint(2, 6)
+        b, m = rng.randint(1, tau), rng.randint(1, 5)
+        sizes = [rng.choice((0, m, rng.randint(0, m))) for _ in range(rng.randint(1, 16))]
+        seq = terminate_sizes(sizes, tau, m)
+        p = make_params(tau, b, m=m, t=seq.t)
+        layout = packet_layout(seq, p)
+        assert layout.head_counts == brute_force_head_counts(layout.head_sizes), list(seq)
+        enc = VgmsEncoder(p, build_cauchy(tau * m, fld, 0))
+        for k in seq:
+            enc.encode_slot([1] * k)
+            assert enc.layout.head_counts == brute_force_head_counts(enc.layout.head_sizes)
+        assert enc.layout.head_counts == layout.head_counts
+        for j in range(seq.t + 1):
+            if layout.head_counts[j] == layout.head_counts[max(j - tau, 0)]:
+                head_free += 1
+            else:
+                with_head += 1
+    assert head_free > 100 and with_head > 100, (head_free, with_head)
+
+
+def test_bursts_without_algebra_call_no_cauchy_kernel(monkeypatch):
+    # a burst over zero-size slots reads no parity, and a tail whose parity
+    # window holds no head is that parity's slice: neither calls combine
+    # nor the head solve, which a window with a head does call
+    fld = GF(8)
+    seq = terminate_sizes([3, 0, 0, 0, 2, 3, 3], 4, 3)  # slots 0..10
+    p = make_params(4, 1, m=3, t=seq.t)
+    matrix = build_cauchy(p.tau * p.m, fld, 0)
+    layout = packet_layout(seq, p)
+    assert layout.head_sizes == [0, 0, 0, 0, 0, 2, 3, 0, 0, 0, 0]
+    payload = random_payload(seq, fld, 1)
+    packets = encode_stream(layout, matrix, payload)
+
+    def no_algebra(*args):
+        raise AssertionError("Cauchy kernel called")
+
+    monkeypatch.setattr(CauchyMatrix, "combine", no_algebra)
+    monkeypatch.setattr(CauchyMatrix, "solve_combination", no_algebra)
+    # slot 0's tail rides in slot 4's parity, whose window 0..3 holds no head
+    for pattern, late in [((), {}), ((0,), {0: 4}), ((2,), {}), ((9,), {}), ((0, 9), {0: 4})]:
+        res = decode_stream(layout, matrix, apply_pattern(pattern, packets))
+        assert res.messages == payload, pattern
+        assert res.decode_times == [late.get(i, i) for i in range(seq.t + 1)], pattern
+    # slot 4's tail rides in slot 8's parity, whose window 4..7 holds the
+    # heads of slots 5 and 6
+    with pytest.raises(AssertionError, match="Cauchy kernel called"):
+        decode_stream(layout, matrix, apply_pattern((4,), packets))
