@@ -54,8 +54,12 @@ parameters there, is reported as skipped, with the reason. The "tables"
 cases always have the sides "list" and "array", on the tree in `src/`.
 
 Each case is checked once: its sides must give identical output, or the
-run exits with status 1. Then every round times each case on each side,
-in alternating order, so drift of a shared host falls on all sides alike.
+run exits with status 1. That check call also sets the case's calls per
+sample in a full run: enough that a sample of the faster side lasts about
+`SAMPLE_S` or more, and never fewer than `FULL["calls"]`, so that cases of
+a few microseconds are not timed near the clock's noise floor. Then every
+round times each case on each side, in alternating order, so drift of a
+shared host falls on all sides alike.
 A row gives the median ms per call of each side and, with two sides, the
 ratio of the second to the first: below 1 the second is faster. Run from
 the root of a source checkout. The last line of standard output is the
@@ -71,6 +75,7 @@ import functools
 import importlib.util
 import inspect
 import json
+import math
 import os
 import platform
 import random
@@ -88,9 +93,10 @@ POINTS = {
     "linear-diagonal": dict(codec="diagonal", degree=8, tau=8, b=4, tau_l=4, m=8, messages=20),
     "grid": dict(codec="vgms", degree=8, tau=4, b=2, m=4, messages=8),  # 12 slots
 }
-# rounds, and calls per sample
+# rounds, and the fewest calls per sample
 FULL = dict(rounds=25, calls=3)
 QUICK = dict(rounds=2, calls=1)
+SAMPLE_S = 1e-3  # a full run's shortest sample, as its check call predicts
 
 
 def load_tree(package: str, root: Path):
@@ -296,21 +302,23 @@ def time_call(fn, calls: int) -> float:
     return (time.perf_counter() - t0) / calls
 
 
-def run_sides(cases: dict, size: dict) -> list[dict]:
+def run_sides(cases: dict, rounds: int, calls: dict) -> list[dict]:
     """The timing loop: `cases` maps a case name to {side: zero-argument
-    call}. Every round times each case on each side, the order of the sides
-    reversed every other round. Returns the median ms per call of each
-    side and, with two sides, the ratio second / first, per case."""
+    call}, and `calls` to its calls per sample. Every round times each case
+    on each side, the order of the sides reversed every other round.
+    Returns the median ms per call of each side and, with two sides, the
+    ratio second / first, per case."""
     samples = {(name, side): [] for name, sides in cases.items() for side in sides}
-    for r in range(size["rounds"]):
+    for r in range(rounds):
         for name, sides in cases.items():
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for side in order:
-                samples[name, side].append(time_call(sides[side], size["calls"]))
+                samples[name, side].append(time_call(sides[side], calls[name]))
     rows = []
     for name, sides in cases.items():
         ms = {side: statistics.median(samples[name, side]) * 1e3 for side in sides}
-        row = {"case": name, "ms": {side: round(v, 3) for side, v in ms.items()}}
+        row = {"case": name, "calls": calls[name]}
+        row["ms"] = {side: round(v, 3) for side, v in ms.items()}
         if len(ms) == 2:
             first, second = ms.values()
             row["ratio"] = round(second / first, 3)
@@ -345,17 +353,24 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"src": load_tree("streamfec", SRC)}
     if args.base:
         trees = {"base": load_tree("streamfec_base", args.base), **trees}
-    cases, skipped = {}, {}
+    cases, skipped, calls = {}, {}, {}
     for name, (uses, sides) in CASES.items():
         reason = args.base and skip_reason(uses, trees["src"], trees["base"])
         if reason:
             skipped[name] = reason
             continue
         cases[name] = sides(trees)
-        outs = [plain(call()) for call in cases[name].values()]
-        if any(out != outs[0] for out in outs):
+        outs, check_s = [], []
+        for call in cases[name].values():
+            t = time.perf_counter()
+            outs.append(call())
+            check_s.append(time.perf_counter() - t)
+        if any(plain(out) != plain(outs[0]) for out in outs):
             raise SystemExit(f"error: {name}: the sides give different output")
-    timed = {row["case"]: row for row in run_sides(cases, size)}
+        calls[name] = size["calls"] if args.quick else max(
+            size["calls"], math.ceil(SAMPLE_S / min(check_s))
+        )
+    timed = {row["case"]: row for row in run_sides(cases, size["rounds"], calls)}
     results = [timed.get(name) or {"case": name, "skipped": skipped[name]} for name in CASES]
     result = {
         "bench": "layers",

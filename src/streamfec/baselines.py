@@ -4,7 +4,10 @@ the six offline reference schemes used by the rate-gap experiments.
 This module is the one place that knows the regime partition
 (`classify_regime`) and the separation families' schemes: `LEMMA_SCHEMES`
 maps each family to its two scheme ids, `scheme_pair` builds both, and
-each `OfflineScheme` carries its own sequence and `d` rule.
+each `OfflineScheme` carries its own sequence and `d` rule. Constructing
+an `OfflineScheme` is the one check of a scheme (a known id, parameters in
+its lemma's family, a d that it can split), so a scheme that exists can be
+built by `offline_stream`; callers construct schemes directly.
 
 All of these are linear, so they share one representation: a LinearStream
 lists, for every channel symbol, its expansion over the flat message symbol
@@ -24,23 +27,6 @@ from .linear import in_rowspace
 from .model import CodeParams, SizeSequence, symbol_offsets, terminate_sizes
 
 Row = dict[int, int]  # flat message symbol index -> coefficient
-
-
-def row_add(a: Row, b: Row) -> Row:
-    out = dict(a)
-    for idx, c in b.items():
-        v = out.get(idx, 0) ^ c
-        if v:
-            out[idx] = v
-        else:
-            out.pop(idx, None)
-    return out
-
-
-def row_scale(fld: GF, a: Row, c: int) -> Row:
-    if c == 0:
-        return {}
-    return {idx: fld.mul(v, c) for idx, v in a.items()}
 
 
 @dataclass
@@ -260,15 +246,43 @@ LEMMA_SCHEMES = {
 SCHEME_IDS = tuple(sid for pair in LEMMA_SCHEMES.values() for sid in pair)
 
 
+def scheme_d_step(scheme_id: str, b: int, tau_l: int) -> int:
+    """What d must be a multiple of, whatever d is: a+1 = tau_l // b + 1
+    for lemma 1's first scheme (it splits each message into a+1 parts), 2
+    for the other first schemes (they send halves), and 1 for every second
+    scheme, which never splits d."""
+    if scheme_id.endswith("2"):
+        return 1
+    return tau_l // b + 1 if scheme_id == "lemma1_seq1" else 2
+
+
 @dataclass(frozen=True)
 class OfflineScheme:
-    """One of the six reference schemes, fixed to its prescribed sequence."""
+    """One of the six reference schemes, fixed to its prescribed sequence.
+
+    Construction is the one check of a scheme: a known id, parameters in
+    its lemma's family (`classify_regime`), and a d >= 1 that is a multiple
+    of `d_step`. Anything else is a ValueError."""
 
     scheme_id: str
     tau: int
     b: int
     tau_l: int
     d: int
+
+    def __post_init__(self) -> None:
+        if self.scheme_id not in SCHEME_IDS:
+            raise ValueError(f"unknown scheme {self.scheme_id!r}; known: {', '.join(SCHEME_IDS)}")
+        regime = classify_regime(self.tau, self.b, self.tau_l)
+        if regime != self.lemma:
+            raise ValueError(
+                f"{self.scheme_id} needs {self.lemma} parameters; "
+                f"tau={self.tau}, b={self.b}, tau_l={self.tau_l} is {regime}"
+            )
+        if self.d < 1 or self.d % self.d_step:
+            raise ValueError(
+                f"{self.scheme_id} needs d >= 1 divisible by {self.d_step}, got {self.d}"
+            )
 
     @property
     def lemma(self) -> str:
@@ -288,13 +302,7 @@ class OfflineScheme:
 
     @property
     def d_step(self) -> int:
-        """What d must be a multiple of: a+1 for lemma 1's first scheme (it
-        splits each message into a+1 parts), 2 for the other first schemes
-        (they send halves), and 1 for every second scheme, which never
-        splits d."""
-        if self.variant == 2:
-            return 1
-        return self.a + 1 if self.lemma == "conv1" else 2
+        return scheme_d_step(self.scheme_id, self.b, self.tau_l)
 
     @property
     def sequence(self) -> SizeSequence:
@@ -303,38 +311,14 @@ class OfflineScheme:
         return terminate_sizes(raw, self.tau, max(raw))
 
 
-def check_lemma_params(lemma: str, tau: int, b: int, tau_l: int) -> None:
-    if lemma not in LEMMA_SCHEMES:
-        raise ValueError(f"unknown lemma {lemma!r}")
-    regime = classify_regime(tau, b, tau_l)
-    if regime != lemma:
-        raise ValueError(f"{lemma} does not cover tau={tau}, b={b}, tau_l={tau_l} ({regime})")
-
-
 def scheme_pair(
     lemma: str, tau: int, b: int, tau_l: int, d: int
 ) -> tuple[OfflineScheme, OfflineScheme]:
-    """A lemma's two reference schemes. The parameters must lie in the
-    lemma's family and d must be at least 1; `require_d_step` checks that
-    a scheme can also split d."""
-    check_lemma_params(lemma, tau, b, tau_l)
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    """A lemma's two reference schemes, variant 1 first; each checks itself."""
+    if lemma not in LEMMA_SCHEMES:
+        raise ValueError(f"unknown lemma {lemma!r}")
     first, second = (OfflineScheme(sid, tau, b, tau_l, d) for sid in LEMMA_SCHEMES[lemma])
     return first, second
-
-
-def require_d_step(sch: OfflineScheme) -> OfflineScheme:
-    if sch.d % sch.d_step:
-        raise ValueError(f"{sch.scheme_id} needs d divisible by {sch.d_step}, got {sch.d}")
-    return sch
-
-
-def make_scheme(scheme_id: str, tau: int, b: int, tau_l: int, d: int) -> OfflineScheme:
-    if scheme_id not in SCHEME_IDS:
-        raise ValueError(f"unknown scheme {scheme_id!r}")
-    sch = OfflineScheme(scheme_id, tau, b, tau_l, d)
-    return require_d_step(scheme_pair(sch.lemma, tau, b, tau_l, d)[sch.variant - 1])
 
 
 def scheme_raw_sizes(sch: OfflineScheme) -> list[int]:
@@ -361,31 +345,27 @@ def _split_then_block_stream(
     tau, b, tau_l, d = sch.tau, sch.b, sch.tau_l, sch.d
     off = symbol_offsets(seq)
     split_slot = len(scheme_raw_sizes(sch)) - 1
-    base_rows: list[list[Row]] = []
-    for i in range(tau):
-        if i < split_slot:
-            base_rows.append([{off[i] + z: 1} for z in range(d)])
-        else:
-            part = i - split_slot
-            base_rows.append([{off[split_slot] + part * d + z: 1} for z in range(d)])
+    # the flat index of the first of slot i's d symbols: message i, or part
+    # i - split_slot of the split message; each slot holds its own symbols
+    firsts = [
+        off[i] if i < split_slot else off[split_slot] + (i - split_slot) * d for i in range(tau)
+    ]
     code = build_block_code(tau, b, fld, seed)
-    slot_rows = base_rows + [[] for _ in range(seq.t + 1 - tau)]
+    slot_rows = [[{x + z: 1} for z in range(d)] for x in firsts]
+    slot_rows += [[] for _ in range(seq.t + 1 - tau)]
     for pj in range(b):
-        rows = []
-        for z in range(d):
-            row: Row = {}
-            for i in range(tau):
-                row = row_add(row, row_scale(fld, base_rows[i][z], code.coeffs[pj][i]))
-            rows.append(row)
-        slot_rows[tau + pj] = rows
+        slot_rows[tau + pj] = [
+            {x + z: c for x, c in zip(firsts, code.coeffs[pj]) if c} for z in range(d)
+        ]
     return LinearStream(seq, tau_l, slot_rows)
 
 
 def _running_sums(slot_rows: list[list[Row]], off: list[int], b: int, pivot: int, d: int) -> None:
     """The chain of lemma2_seq2 and _halved_chain_stream: slot i+b+1 sends
-    slot i+b's sums plus message i, for i = 1..pivot-1."""
+    slot i+b's sums plus message i, for i = 1..pivot-1; no sum holds
+    message i yet."""
     for i in range(1, pivot):
-        slot_rows[i + b + 1] = [row_add(slot_rows[i + b][r], {off[i] + r: 1}) for r in range(d)]
+        slot_rows[i + b + 1] = [{**slot_rows[i + b][r], off[i] + r: 1} for r in range(d)]
 
 
 def _halved_chain_stream(sch: OfflineScheme, seq: SizeSequence) -> LinearStream:

@@ -10,7 +10,10 @@ elimination, which certifies information-theoretic decodability.
 Each fact about a stream is checked once, where the stream enters a codec:
 - `bind_codec` checks the binding for all eight codecs: valid params
   (`model.require_valid`), a sequence of the params' length t, no message
-  above m, and a block size d given to the offline schemes alone.
+  above m, and a block size d given to the offline schemes alone. An
+  offline scheme's own rules (parameters in its lemma's family, a d it
+  can split) are checked by constructing its `baselines.OfflineScheme`,
+  and its sequence must be the scheme's.
 - `channel.check_received` checks a received list (its length, each
   packet's length against n_sizes, and the field) for both decoders, and
   returns the erased runs. Only the VGMS decoder reads them, to require an
@@ -177,7 +180,7 @@ def bind_codec(
     if codec_id in baselines.SCHEME_IDS:
         if d is None:
             raise ValueError(f"{codec_id} needs the block size d")
-        sch = baselines.make_scheme(codec_id, p.tau, p.b, p.tau_l, d)
+        sch = baselines.OfflineScheme(codec_id, p.tau, p.b, p.tau_l, d)
         if seq != sch.sequence:
             raise ValueError(
                 f"{codec_id} is defined only for its prescribed sequence "

@@ -9,7 +9,10 @@ reference schemes, confirms their exact rates, computes the prefix budget
 an R2-achieving scheme must send there), and checks budget < demand.
 
 The regime rule and the scheme pairs live in `baselines`; `REGIMES` and
-`classify_regime` are imported from there.
+`classify_regime` are imported from there. A scheme checks itself when it
+is constructed, so `run_gap` raises ValueError for parameters outside the
+lemma's family or a d that either scheme cannot split, and `gap_cells`
+reads each scheme's `scheme_d_step` without building one.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def run_gap(
         if lemma not in ("conv1", "conv2"):
             raise ValueError(f"{lemma} needs an explicit tau_l")
         tau_l = tau - b
-    sch1, sch2 = map(baselines.require_d_step, baselines.scheme_pair(lemma, tau, b, tau_l, d))
+    sch1, sch2 = baselines.scheme_pair(lemma, tau, b, tau_l, d)
     st1, st2 = (baselines.offline_stream(sch, fld) for sch in (sch1, sch2))
 
     rate1, rate2 = (stream_rate(st.seq, st.n_sizes) for st in (st1, st2))
@@ -148,8 +151,8 @@ def gap_cells(tau_max: int, d_max: int) -> list[tuple[str, int, int, int, int]]:
     for (tau, b, tau_l), regime in sweep_classifier(tau_max).items():
         if regime not in baselines.LEMMA_SCHEMES:
             continue
-        # a scheme's d_step does not depend on d
-        pair = baselines.scheme_pair(regime, tau, b, tau_l, 1)
-        step = math.lcm(*(sch.d_step for sch in pair))
+        step = math.lcm(
+            *(baselines.scheme_d_step(sid, b, tau_l) for sid in baselines.LEMMA_SCHEMES[regime])
+        )
         cells.extend((regime, tau, b, tau_l, d) for d in range(step, d_max + 1, step))
     return cells

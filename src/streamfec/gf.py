@@ -2,13 +2,15 @@
 
 Field elements are plain ints in [0, 2^e); the bits of an element are the
 coefficients of a polynomial over GF(2). Addition is XOR. Multiplication
-reduces the carry-less product modulo a primitive polynomial and is served
+reduces the carry-less product modulo the degree's one primitive
+polynomial (`DEFAULT_POLYS`; there is no custom polynomial) and is served
 from log/antilog tables built once at construction. Primitive means that x
 generates the multiplicative group, so the tables come from one walk over
 the powers of x: each step is a shift, reduced by one XOR with the
-polynomial when it reaches the field's degree. Schoolbook polynomial
-multiplication stays exposed (`mul_schoolbook`) as an independent reference
-for the table path.
+polynomial when it reaches the field's degree. The walk is also the one
+check of the polynomial: x must have order exactly 2^e - 1, which implies
+irreducibility. Schoolbook polynomial multiplication stays exposed
+(`mul_schoolbook`) as an independent reference for the table path.
 
 The tables are lists for small fields and 2-byte `array("H")`s from degree
 `COMPACT_TABLES_FROM_DEGREE` up. A list holds a pointer per entry to a
@@ -57,45 +59,19 @@ DEFAULT_POLYS = {
 COMPACT_TABLES_FROM_DEGREE = 14
 
 
-def poly_mod(a: int, m: int) -> int:
-    """Remainder of carry-less division of a by m over GF(2)."""
-    mb = m.bit_length()
-    while a.bit_length() >= mb:
-        a ^= m << (a.bit_length() - mb)
-    return a
-
-
-def is_irreducible(poly: int, degree: int) -> bool:
-    """Exhaustive trial division by every polynomial of degree 1..degree//2."""
-    if poly.bit_length() != degree + 1:
-        return False
-    if degree == 1:
-        return True
-    for q in range(2, 1 << (degree // 2 + 1)):
-        if q.bit_length() >= 2 and poly_mod(poly, q) == 0:
-            return False
-    return True
-
-
 class GF:
-    """The field GF(2^degree) reduced by `poly`, a primitive polynomial
-    (default `DEFAULT_POLYS[degree]`); any other polynomial is a ValueError.
+    """The field GF(2^degree), reduced by `DEFAULT_POLYS[degree]`; the table
+    walk raises ValueError if x does not have order 2^degree - 1 under it.
 
     Instances are immutable after construction and safe to share across
     threads; all operations are pure functions of their arguments.
     """
 
-    def __init__(self, degree: int, poly: int | None = None) -> None:
+    def __init__(self, degree: int) -> None:
         if not 1 <= degree <= 16:
             raise ValueError(f"degree must be in [1, 16], got {degree}")
-        if poly is None:
-            poly = DEFAULT_POLYS[degree]
-        if not is_irreducible(poly, degree):
-            raise ValueError(
-                f"0x{poly:x} is not an irreducible polynomial of degree {degree}"
-            )
         self.degree = degree
-        self.poly = poly
+        self.poly = DEFAULT_POLYS[degree]
         self.order = 1 << degree
         self._exp, self._log = self._build_tables()
 
@@ -113,13 +89,12 @@ class GF:
             val <<= 1
             if val & order:
                 val ^= poly
-        # if x**r == 1 for some 0 < r < span, the walk came back to 1 and
-        # rewrote log[1]: x generates a proper subgroup only
-        if log[1]:
-            raise ValueError(
-                f"0x{poly:x} is irreducible but not primitive: x has order "
-                f"{exp.index(1, 1)}, not {span}"
-            )
+        # x must have order exactly span: no power x**r with 0 < r < span is
+        # 1 (else the walk rewrote log[1]), and x**span is. Such an x
+        # generates the whole multiplicative group, so the polynomial is
+        # primitive, hence irreducible.
+        if log[1] or val != 1:
+            raise ValueError(f"0x{poly:x} is not a primitive polynomial of degree {self.degree}")
         return exp + exp, log
 
     @property
@@ -185,12 +160,11 @@ def in_field(fld: GF, symbols: Sequence[int]) -> bool:
     return fld.degree in (8, 16) or not symbols or max(symbols) < fld.order
 
 
-_FIELD_CACHE: dict[tuple[int, int | None], GF] = {}
+_FIELD_CACHE: dict[int, GF] = {}
 
 
-def field(degree: int, poly: int | None = None) -> GF:
+def field(degree: int) -> GF:
     """Memoized field constructor (fields are immutable, sharing is safe)."""
-    key = (degree, poly)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = GF(degree, poly)
-    return _FIELD_CACHE[key]
+    if degree not in _FIELD_CACHE:
+        _FIELD_CACHE[degree] = GF(degree)
+    return _FIELD_CACHE[degree]

@@ -6,15 +6,18 @@ import pytest
 
 from streamfec import baselines
 from streamfec.baselines import (
+    LEMMA_SCHEMES,
+    SCHEME_IDS,
     BlockCode,
+    OfflineScheme,
     block_delay_violations,
     build_block_code,
-    make_scheme,
     offline_stream,
     scheme_pair,
     scheme_stated_rate,
 )
 from streamfec.codecs import bind_codec
+from streamfec.gap import gap_cells
 from streamfec.gf import GF
 from streamfec.model import make_params, random_payload, terminate_sizes
 from streamfec.oracle import exhaustive_decode_check
@@ -118,9 +121,9 @@ def test_lemma1_sequences_worked_example():
 
 
 def test_lemma3_sequences_worked_example():
-    seq1, seq2 = (sch.sequence for sch in scheme_pair("conv3", 4, 2, 1, 1))
-    assert list(seq1) == [1, 1, 0, 0, 0, 0]
-    assert list(seq2) == [1, 1, 2, 0, 0, 0, 0]
+    seq1, seq2 = (sch.sequence for sch in scheme_pair("conv3", 4, 2, 1, 2))
+    assert list(seq1) == [2, 2, 0, 0, 0, 0]
+    assert list(seq2) == [2, 2, 4, 0, 0, 0, 0]
 
 
 def test_lemma2_sequences():
@@ -143,15 +146,44 @@ def test_sequences_share_their_prefix():
 
 def test_lemma_preconditions_enforced():
     with pytest.raises(ValueError):
-        make_scheme("lemma1_seq1", 4, 2, 2, 2)  # b divides tau: regime 1
+        OfflineScheme("lemma1_seq1", 4, 2, 2, 2)  # b divides tau: regime 1
     with pytest.raises(ValueError):
-        make_scheme("lemma1_seq1", 5, 2, 3, 3)  # d not multiple of a+1
+        OfflineScheme("lemma1_seq1", 5, 2, 3, 3)  # d not multiple of a+1
     with pytest.raises(ValueError):
-        make_scheme("lemma2_seq1", 3, 2, 1, 3)  # odd d
+        OfflineScheme("lemma2_seq1", 3, 2, 1, 3)  # odd d
     with pytest.raises(ValueError):
-        make_scheme("lemma3_seq1", 4, 2, 2, 2)  # tau_l = tau - b is not conv3
+        OfflineScheme("lemma3_seq1", 4, 2, 2, 2)  # tau_l = tau - b is not conv3
     with pytest.raises(ValueError):
-        make_scheme("lemma2_seq1", 6, 2, 4, 2)  # tau_l >= b is conv1 territory
+        OfflineScheme("lemma2_seq1", 6, 2, 4, 2)  # tau_l >= b is conv1 territory
+
+
+def test_schemes_refuse_a_d_they_cannot_split():
+    # every family of the gap sweep, both schemes: no d below 1, and no d
+    # off the scheme's d_step, which would split a message into parts of
+    # size 0 (lemma3_seq1 at conv3 (4, 2, 1) and d = 1 sends a rate-2
+    # stream, lemma1_seq1 at conv1 (5, 2, 3) and d = 1 sends nothing)
+    families = {cell[:4] for cell in gap_cells(8, 12)}
+    assert {lemma for lemma, *_ in families} == set(LEMMA_SCHEMES)
+    for lemma, tau, b, tau_l in sorted(families):
+        for sid in LEMMA_SCHEMES[lemma]:
+            step = baselines.scheme_d_step(sid, b, tau_l)
+            for d in [0, -1] + [d for d in range(1, 13) if d % step]:
+                want = f"^{sid} needs d >= 1 divisible by {step}, got {d}$"
+                with pytest.raises(ValueError, match=want):
+                    OfflineScheme(sid, tau, b, tau_l, d)
+                with pytest.raises(ValueError, match="needs d >= 1 divisible by"):
+                    scheme_pair(lemma, tau, b, tau_l, d)
+
+
+def test_unknown_scheme_and_unknown_lemma_are_refused():
+    known = ", ".join(SCHEME_IDS)
+    with pytest.raises(ValueError, match=f"^unknown scheme 'lemma4_seq1'; known: {known}$"):
+        OfflineScheme("lemma4_seq1", 5, 2, 3, 2)
+    with pytest.raises(ValueError, match="^unknown lemma 'conv4'$"):
+        scheme_pair("conv4", 5, 2, 3, 2)
+    with pytest.raises(ValueError, match="^lemma3_seq2 needs conv3 parameters; "
+                       "tau=5, b=2, tau_l=3 is conv1$"):
+        OfflineScheme("lemma3_seq2", 5, 2, 3, 2)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -166,7 +198,7 @@ def test_lemma_preconditions_enforced():
 )
 def test_second_schemes_take_any_d(scheme_id, tau, b, tau_l, d):
     # neither scheme splits a message, so no d lacks a divisor they need
-    sch = make_scheme(scheme_id, tau, b, tau_l, d)
+    sch = OfflineScheme(scheme_id, tau, b, tau_l, d)
     assert sch.d_step == 1
     fld = GF(8)
     seq = sch.sequence

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from streamfec.baselines import make_scheme
+from streamfec.baselines import OfflineScheme
 from streamfec.codecs import CODEC_IDS, bind_codec
 from streamfec.gf import GF
 from streamfec.model import make_params, random_payload, terminate_sizes
@@ -23,7 +23,7 @@ def valid_binding(codec_id):
         seq = terminate_sizes([2, 2, 2], 2, 2)
         return make_params(2, 1, tau_l=1, m=2, t=seq.t), seq, None
     tau, b, tau_l = SCHEME_POINTS[codec_id.split("_")[0]]
-    seq = make_scheme(codec_id, tau, b, tau_l, 2).sequence
+    seq = OfflineScheme(codec_id, tau, b, tau_l, 2).sequence
     return make_params(tau, b, tau_l=tau_l, m=max(seq), t=seq.t), seq, 2
 
 
@@ -57,7 +57,7 @@ def test_bind_codec_refuses_streams_the_oracle_would_replay_in_part():
     # an offline scheme's own sequence under params of another t (and too
     # small an m), and diagonal under m=1 with sizes of 5
     fld = GF(8)
-    seq = make_scheme("lemma3_seq1", 3, 1, 1, 2).sequence
+    seq = OfflineScheme("lemma3_seq1", 3, 1, 1, 2).sequence
     assert list(seq) == [2, 0, 0, 0]
     for t in (1, 10):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from streamfec import baselines
-from streamfec.baselines import make_scheme, scheme_pair
+from streamfec.baselines import OfflineScheme
 from streamfec.cli import main
 from streamfec.gap import (
     REGIMES,
@@ -21,7 +21,7 @@ from streamfec.gf import GF
 
 def accepts(scheme_id, tau, b, tau_l, d):
     try:
-        make_scheme(scheme_id, tau, b, tau_l, d)
+        OfflineScheme(scheme_id, tau, b, tau_l, d)
     except ValueError:
         return False
     return True
@@ -166,10 +166,19 @@ def test_gap_cells_list_exactly_the_d_both_schemes_accept():
         if lemma in ("regime1", "regime2"):
             continue
         for d in range(1, d_max + 1):
-            pair = scheme_pair(lemma, tau, b, tau_l, d)
-            if all(accepts(sch.scheme_id, tau, b, tau_l, d) for sch in pair):
+            if all(accepts(sid, tau, b, tau_l, d) for sid in baselines.LEMMA_SCHEMES[lemma]):
                 want.append((lemma, tau, b, tau_l, d))
     assert gap_cells(tau_max, d_max) == want
+
+
+def test_gap_refuses_a_d_a_scheme_cannot_split(capsys):
+    # lemma3_seq1 sends halves, so d = 1 would leave them empty
+    with pytest.raises(ValueError, match="^lemma3_seq1 needs d >= 1 divisible by 2, got 1$"):
+        run_gap("conv3", 4, 2, 1, 1, GF(8))
+    code = main(["gap", "--lemma", "conv3", "--tau", "4", "--b", "2", "--tau-l", "1", "--d", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: lemma3_seq1 needs d >= 1 divisible by 2, got 1\n"
 
 
 def test_rate_cross_check_fails_on_a_stated_rate_that_is_off(monkeypatch, capsys):

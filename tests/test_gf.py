@@ -16,7 +16,6 @@ from streamfec.gf import (
     GF,
     field,
     in_field,
-    is_irreducible,
 )
 
 
@@ -101,20 +100,21 @@ def test_multiplicative_group_order():
 
 
 @pytest.mark.parametrize(
-    "degree,poly,irreducible",
+    "degree,poly",
     [
-        (4, 0b10101, False),  # x^4 + x^2 + 1 = (x^2 + x + 1)^2
-        (8, 0x11B, True),  # the AES polynomial: x has order 51, not 255
-        (4, 0b11111, True),  # x^4 + x^3 + x^2 + x + 1: x has order 5, not 15
+        (4, 0b10101),  # x^4 + x^2 + 1 = (x^2 + x + 1)^2
+        (8, 0x11B),  # the AES polynomial, irreducible: x has order 51, not 255
+        (4, 0b11111),  # x^4 + x^3 + x^2 + x + 1, irreducible: x has order 5, not 15
+        (2, 0b100),  # x^2: x is no unit, so the walk never returns to 1
     ],
-    ids=["reducible", "order-51", "order-5"],
+    ids=["reducible", "order-51", "order-5", "zero-constant"],
 )
-def test_non_primitive_polynomial_rejected(degree, poly, irreducible):
+def test_non_primitive_polynomial_rejected(monkeypatch, degree, poly):
     # the tables walk the powers of x, so x must generate the whole group:
-    # irreducibility is checked first, then the walk refuses an early return to 1
-    assert is_irreducible(poly, degree) is irreducible
-    with pytest.raises(ValueError):
-        GF(degree, poly)
+    # the walk refuses an early return to 1, and no return after its last step
+    monkeypatch.setitem(DEFAULT_POLYS, degree, poly)
+    with pytest.raises(ValueError, match=f"^0x{poly:x} is not a primitive polynomial"):
+        GF(degree)
 
 
 def test_degree_out_of_range():
@@ -125,9 +125,12 @@ def test_degree_out_of_range():
 
 
 def test_default_polys_all_irreducible():
+    # primitive, hence irreducible: the powers of x run over every nonzero
+    # element once
     for degree, poly in DEFAULT_POLYS.items():
-        assert is_irreducible(poly, degree)
-        assert GF(degree, poly).exp[1] == (2 if degree >= 2 else 1)  # primitive: x generates
+        gf = GF(degree)
+        assert gf.poly == poly
+        assert sorted(gf.exp[: gf.order - 1]) == list(range(1, gf.order))
 
 
 def test_field_cache_returns_same_object():
