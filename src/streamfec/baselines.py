@@ -14,17 +14,27 @@ lists, for every channel symbol, its expansion over the flat message symbol
 vector. Encoding is evaluating the rows; decoding is incremental Gaussian
 elimination (see linear.IncrementalDecoder), which certifies exactly the
 information-theoretic decodability the schemes promise.
+
+The offline schemes write their rows with one rule, `_rows(n, firsts)`:
+n rows, row r holding symbol f + r of each first f, so one first is a
+plain run of symbols and several are the XOR of equal-length pieces.
+Lemma 1's first scheme is the diagonal code at delay (a+1)b, a = tau_l // b,
+so `offline_stream` builds it with `diagonal_stream`, and its stated rate
+(a+1)/(a+2) is the diagonal's tau'/(tau'+b) at tau' = (a+1)b. The halved
+chain of lemma 2's and lemma 3's first schemes has no case of its own for
+b = 1: the halves and their parity are the whole scheme there.
+`diagonal_stream` keeps its own loop, the one rule that pads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cauchy import build_cauchy
 from .gf import GF
 from .linear import in_rowspace
-from .model import CodeParams, SizeSequence, symbol_offsets, terminate_sizes
+from .model import CodeParams, SizeSequence, make_params, symbol_offsets, terminate_sizes
 
 Row = dict[int, int]  # flat message symbol index -> coefficient
 
@@ -351,13 +361,19 @@ def _split_then_block_stream(
         off[i] if i < split_slot else off[split_slot] + (i - split_slot) * d for i in range(tau)
     ]
     code = build_block_code(tau, b, fld, seed)
-    slot_rows = [[{x + z: 1} for z in range(d)] for x in firsts]
+    slot_rows = [_rows(d, [x]) for x in firsts]
     slot_rows += [[] for _ in range(seq.t + 1 - tau)]
     for pj in range(b):
         slot_rows[tau + pj] = [
             {x + z: c for x, c in zip(firsts, code.coeffs[pj]) if c} for z in range(d)
         ]
     return LinearStream(seq, tau_l, slot_rows)
+
+
+def _rows(n: int, firsts: list[int]) -> list[Row]:
+    """n rows; row r holds symbol f + r of each first f. One first is a
+    plain run of n symbols; several are the XOR of equal-length pieces."""
+    return [{f + r: 1 for f in firsts} for r in range(n)]
 
 
 def _running_sums(slot_rows: list[list[Row]], off: list[int], b: int, pivot: int, d: int) -> None:
@@ -370,29 +386,23 @@ def _running_sums(slot_rows: list[list[Row]], off: list[int], b: int, pivot: int
 
 def _halved_chain_stream(sch: OfflineScheme, seq: SizeSequence) -> LinearStream:
     """Shared shape of lemma2_seq1 and lemma3_seq1: the last nonzero message
-    (slot P) is sent in halves at slots P and b, a running-sum chain covers
-    slots 0..P-1, and a parity of the two halves lands at slot 2b."""
+    (slot P) is sent in halves at slots P and b, and a parity of the two
+    halves lands at slot 2b. For b > 1 a running-sum chain covers slots
+    0..P-1, and slot b+1 mixes message 0 into it; for b = 1 (conv3 only) P
+    is 0 and the halves and their parity are the whole scheme."""
     b, tau_l, d = sch.b, sch.tau_l, sch.d
     h = d // 2
     pivot = b - tau_l if sch.lemma == "conv2" else b - 1
     off = symbol_offsets(seq)
     slot_rows: list[list[Row]] = [[] for _ in range(seq.t + 1)]
-    if b == 1:
-        # conv3 only: the chain and the mixed packet degenerate; send the
-        # two halves and their parity sum.
-        slot_rows[0] = [{off[0] + r: 1} for r in range(h)]
-        slot_rows[1] = [{off[0] + h + r: 1} for r in range(h)]
-        slot_rows[2] = [{off[0] + r: 1, off[0] + h + r: 1} for r in range(h)]
-        return LinearStream(seq, tau_l, slot_rows)
-    for i in range(pivot):
-        slot_rows[i] = [{off[i] + r: 1} for r in range(d)]
-    slot_rows[pivot] = [{off[pivot] + r: 1} for r in range(h)]
-    slot_rows[b] = [{off[pivot] + h + r: 1} for r in range(h)]
-    slot_rows[b + 1] = [{off[0] + r: 1} for r in range(h)] + [
-        {off[0] + h + r: 1, off[pivot] + h + r: 1} for r in range(h)
-    ]
-    _running_sums(slot_rows, off, b, pivot, d)
-    slot_rows[2 * b] = [{off[pivot] + r: 1, off[pivot] + h + r: 1} for r in range(h)]
+    slot_rows[pivot] = _rows(h, [off[pivot]])
+    slot_rows[b] = _rows(h, [off[pivot] + h])
+    slot_rows[2 * b] = _rows(h, [off[pivot], off[pivot] + h])
+    if b > 1:
+        for i in range(pivot):
+            slot_rows[i] = _rows(d, [off[i]])
+        slot_rows[b + 1] = _rows(h, [off[0]]) + _rows(h, [off[0] + h, off[pivot] + h])
+        _running_sums(slot_rows, off, b, pivot, d)
     return LinearStream(seq, tau_l, slot_rows)
 
 
@@ -400,20 +410,12 @@ def offline_stream(sch: OfflineScheme, fld: GF, seed: int = 0) -> LinearStream:
     """Channel packet expansions for one offline scheme on its sequence."""
     seq = sch.sequence
     b, tau_l, d = sch.b, sch.tau_l, sch.d
-    off = symbol_offsets(seq)
     if sch.scheme_id == "lemma1_seq1":
-        a, e = sch.a, sch.e
-        comp = d // (a + 1)
-        slot_rows: list[list[Row]] = [[] for _ in range(seq.t + 1)]
-        for i in range(e):
-            for z in range(a + 1):
-                slot_rows[i + z * b] = [
-                    {off[i] + z * comp + r: 1} for r in range(comp)
-                ]
-            slot_rows[i + (a + 1) * b] = [
-                {off[i] + z * comp + r: 1 for z in range(a + 1)} for r in range(comp)
-            ]
-        return LinearStream(seq, tau_l, slot_rows)
+        # the diagonal code at delay (a+1)b: d is a multiple of a+1, so
+        # nothing is padded, and every message flushes within tau
+        a = sch.a
+        p = make_params((a + 1) * b, b, tau_l=a * b, m=d, t=seq.t)
+        return replace(diagonal_stream(p, seq), tau_l=tau_l)
     if sch.scheme_id in ("lemma1_seq2", "lemma3_seq2"):
         return _split_then_block_stream(sch, seq, fld, seed)
     if sch.scheme_id in ("lemma2_seq1", "lemma3_seq1"):
@@ -421,12 +423,13 @@ def offline_stream(sch: OfflineScheme, fld: GF, seed: int = 0) -> LinearStream:
     # lemma2_seq2: every message goes out whole; a running-sum chain plus a
     # final cross parity cover the two vulnerable packets.
     pivot = b - tau_l
-    slot_rows = [[] for _ in range(seq.t + 1)]
-    for i in list(range(pivot + 1)) + [b]:
-        slot_rows[i] = [{off[i] + r: 1} for r in range(d)]
-    slot_rows[b + 1] = [{off[0] + r: 1, off[b] + r: 1} for r in range(d)]
+    off = symbol_offsets(seq)
+    slot_rows: list[list[Row]] = [[] for _ in range(seq.t + 1)]
+    for i in [*range(pivot + 1), b]:
+        slot_rows[i] = _rows(d, [off[i]])
+    slot_rows[b + 1] = _rows(d, [off[0], off[b]])
     _running_sums(slot_rows, off, b, pivot, d)
-    slot_rows[2 * b] = [{off[b] + r: 1, off[pivot] + r: 1} for r in range(d)]
+    slot_rows[2 * b] = _rows(d, [off[b], off[pivot]])
     return LinearStream(seq, tau_l, slot_rows)
 
 

@@ -19,8 +19,8 @@ from streamfec.baselines import (
 from streamfec.codecs import bind_codec
 from streamfec.gap import gap_cells
 from streamfec.gf import GF
-from streamfec.model import make_params, random_payload, terminate_sizes
-from streamfec.oracle import exhaustive_decode_check
+from streamfec.model import SizeSequence, make_params, random_payload, terminate_sizes
+from streamfec.oracle import exhaustive_decode_check, verify_stream
 
 
 # --- diagonal interleaving ---------------------------------------------------
@@ -64,6 +64,14 @@ def test_diagonal_requires_divisibility_and_matching_tau_l():
         bind_codec("diagonal", make_params(4, 2, tau_l=0, m=2, t=seq.t), fld, seq)
 
 
+def test_diagonal_refuses_a_message_it_cannot_flush():
+    # the message at slot 2 would need its sum at slot 2 + tau = 6 > t = 5
+    seq = SizeSequence([2, 0, 2, 0, 0, 0])
+    p = make_params(4, 2, tau_l=2, m=2, t=seq.t)
+    with pytest.raises(ValueError, match="nonzero message at slot 2 cannot be flushed"):
+        bind_codec("diagonal", p, GF(8), seq)
+
+
 def test_diagonal_full_pattern_decoding_and_lossless_delay():
     fld = GF(8)
     for tau, b in [(2, 1), (4, 2), (4, 4), (6, 3)]:
@@ -96,6 +104,11 @@ def test_block_code_parity_only_burst_trivial():
     code = build_block_code(3, 2, GF(8), seed=0)
     bad = [v for v in block_delay_violations(code) if v[0] >= code.tau]
     assert bad == []
+
+
+def test_block_code_needs_2_tau_field_points():
+    with pytest.raises(ValueError, match="field too small"):
+        build_block_code(3, 1, GF(2))  # 4 elements, 6 points
 
 
 def test_block_code_corruption_detected():
@@ -249,6 +262,34 @@ def test_offline_scheme_single_burst_decoding(lemma, tau, b, tau_l, d):
         codec = bind_codec(sch.scheme_id, p, fld, seq, d=d)
         payload = random_payload(seq, fld, 17)
         assert exhaustive_decode_check(codec, payload, "single") is None, sch.scheme_id
+
+
+def smallest_d_classes():
+    """Each (lemma, tau, b, tau_l) class of `gap_cells(8, 12)` at its
+    smallest d. A larger d of a class widens each slot by the same pattern
+    of rows; it is left out so that the decodes take under a second."""
+    first: dict = {}
+    for lemma, tau, b, tau_l, d in gap_cells(8, 12):
+        first.setdefault((lemma, tau, b, tau_l), d)
+    return [(*cls, d) for cls, d in first.items()]
+
+
+def test_witness_classes_cover_every_family():
+    classes = smallest_d_classes()
+    assert len(classes) == 72
+    assert {cls[0] for cls in classes} == set(LEMMA_SCHEMES)
+
+
+@pytest.mark.parametrize("lemma,tau,b,tau_l,d", smallest_d_classes())
+def test_every_witness_decodes_every_admissible_pattern(lemma, tau, b, tau_l, d):
+    # every pattern within tau, the lossless one within tau_l, and the profile
+    fld = GF(8)
+    for sch in scheme_pair(lemma, tau, b, tau_l, d):
+        seq = sch.sequence
+        p = make_params(tau, b, tau_l=tau_l, m=max(seq), t=seq.t)
+        codec = bind_codec(sch.scheme_id, p, fld, seq, d=d)
+        payload = random_payload(seq, fld, tau + b)
+        assert verify_stream(codec, payload, "full") is None, sch.scheme_id
 
 
 def test_rate_never_exceeds_channel_capacity_bound():

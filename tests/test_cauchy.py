@@ -239,3 +239,29 @@ def test_overlapping_point_sets_rejected():
     fld = GF(8)
     with pytest.raises(ValueError):
         CauchyMatrix(fld, (1, 2), (2, 3))
+
+
+@pytest.mark.parametrize(
+    "xs, ys, reason",
+    [
+        ((1, 2), (3,), "point sets must have equal size"),
+        ((1, 1), (2, 3), "points within a set must be distinct"),
+        ((1, 2), (3, 3), "points within a set must be distinct"),
+    ],
+)
+def test_malformed_point_sets_rejected(xs, ys, reason):
+    with pytest.raises(ValueError, match=reason):
+        CauchyMatrix(GF(8), xs, ys)
+
+
+def test_build_cauchy_needs_a_dimension():
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        build_cauchy(0, GF(8))
+
+
+@pytest.mark.parametrize(
+    "mat, rhs", [([[1, 2]], [1]), ([[1, 2], [3]], [1, 1]), ([[1, 2], [3, 4]], [1])]
+)
+def test_solve_refuses_a_system_that_is_not_square(mat, rhs):
+    with pytest.raises(ValueError, match="solve needs a square system"):
+        solve(GF(8), mat, rhs)

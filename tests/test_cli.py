@@ -427,6 +427,28 @@ def test_config_file_value_of_wrong_type_is_config_error(capsys, tmp_path, key, 
     assert err.startswith("error: ") and repr(key) in err
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '"vgms"', "4"])
+def test_config_file_that_is_not_an_object_is_config_error(capsys, tmp_path, text):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "encode", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: {cfg} must hold one JSON object\n"
+
+
+def test_random_sizes_without_t_is_config_error(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--codec", "vgms", "--tau", "3", "--b", "1", "--random-sizes", "5"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: --random-sizes needs --t for the stream length\n"
+
+
+def test_rate_table_of_no_results_is_refused():
+    with pytest.raises(ValueError, match="no results to tabulate"):
+        cli.emit_rate_table([], {})
+
+
 def test_config_file_string_numbers_convert_and_null_unsets(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({**REFERENCE_CONFIG, "tau": "4", "b": "2", "m": None}))

@@ -53,6 +53,12 @@ def test_bind_codec_checks_the_params_against_the_sequence(codec_id):
         bind_codec(codec_id, p, fld, seq, d=2 if d is None else None)
 
 
+def test_bind_codec_refuses_an_unknown_codec():
+    p, seq, _ = valid_binding("vgms")
+    with pytest.raises(ValueError, match="unknown codec 'rs'; known: "):
+        bind_codec("rs", p, GF(8), seq)
+
+
 def test_bind_codec_refuses_streams_the_oracle_would_replay_in_part():
     # an offline scheme's own sequence under params of another t (and too
     # small an m), and diagonal under m=1 with sizes of 5

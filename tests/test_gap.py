@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from streamfec import baselines
+from streamfec import baselines, gap
 from streamfec.baselines import OfflineScheme
 from streamfec.cli import main
 from streamfec.gap import (
@@ -142,6 +142,18 @@ def test_witness_check_fails_on_a_cyclic_channel_alone(monkeypatch):
         "witness cross-checks failed: {'witness_budget': 3, 'witness_demand': 4, "
         "'cyclic_dropped': [4, 3, 3, 4, 4, 5, 5]}"
     )
+
+
+def test_cyclic_check_refuses_a_witness_with_one_extra_row():
+    # every slot is still dropped by exactly b of the tau + b channels, so
+    # the channels' sum is b times the total; the total is d(tau + b) + 1
+    tau, b, d = 5, 2, 2
+    st2 = baselines.offline_stream(OfflineScheme("lemma3_seq2", tau, b, 1, d), GF(8))
+    assert gap._cyclic_channels_ok(st2, tau, b, d, {})
+    st2.slot_rows[0].append({})
+    details: dict = {}
+    assert not gap._cyclic_channels_ok(st2, tau, b, d, details)
+    assert sum(details["cyclic_dropped"]) == b * (d * (tau + b) + 1)
 
 
 def test_gap_sweep_all_separated():

@@ -1,5 +1,7 @@
 """Parameter validation, sequence termination, rates, and deadline checks."""
 
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from streamfec.model import (
     make_params,
     param_violations,
     random_payload,
+    require_valid,
     stream_rate,
     symbol_offsets,
     terminate_sizes,
@@ -24,19 +27,29 @@ def test_valid_params_ok():
     assert p.w == 5  # tightest window by default
 
 
-def test_burst_longer_than_delay_rejected():
-    p = make_params(4, 5, m=3, t=8)
-    assert "b <= tau" in param_violations(p)
+@pytest.mark.parametrize(
+    "change, rule",
+    [
+        ({"b": 0}, "b >= 1"),
+        ({"b": 5}, "b <= tau"),  # tau - b < 0, so "tau_l <= tau - b" fails too
+        ({"tau_l": -1}, "tau_l >= 0"),
+        ({"tau_l": 3}, "tau_l <= tau - b"),
+        ({"w": 4}, "w > tau"),
+        ({"m": 0}, "m >= 1"),
+        ({"t": 3}, "t >= tau"),
+    ],
+    ids=["b-min", "b-max", "tau_l-min", "tau_l-max", "w-min", "m-min", "t-min"],
+)
+def test_each_parameter_rule_is_reported(change, rule):
+    p = dataclasses.replace(make_params(4, 2, m=3, t=8), **change)
+    assert rule in param_violations(p)
+    with pytest.raises(ValueError, match=re.escape(rule)):
+        require_valid(p)
 
 
-def test_lossless_delay_cap():
-    p = make_params(4, 2, tau_l=3, m=3, t=8)
-    assert "tau_l <= tau - b" in param_violations(p)
-
-
-def test_window_must_exceed_tau():
-    p = make_params(4, 2, w=4, m=3, t=8)
-    assert "w > tau" in param_violations(p)
+def test_negative_size_refused():
+    with pytest.raises(ValueError, match="message sizes must be >= 0"):
+        SizeSequence([2, -1, 3])
 
 
 def test_terminate_appends_zero_tail():
