@@ -24,6 +24,11 @@ so `offline_stream` builds it with `diagonal_stream`, and its stated rate
 chain of lemma 2's and lemma 3's first schemes has no case of its own for
 b = 1: the halves and their parity are the whole scheme there.
 `diagonal_stream` keeps its own loop, the one rule that pads.
+
+The block code of lemma 1's and lemma 3's second schemes is drawn once
+from a Cauchy pool, with the entries that would break a deadline forced
+to zero; `build_block_code` proves that such a draw always meets every
+per-symbol deadline, and still checks it exhaustively (`verified`).
 """
 
 from __future__ import annotations
@@ -137,10 +142,6 @@ def diagonal_stream(p: CodeParams, seq: SizeSequence) -> LinearStream:
 # ---------------------------------------------------------------------------
 
 
-class BlockCodeSearchError(Exception):
-    """No verified coefficient draw within the retry budget."""
-
-
 @dataclass
 class BlockCode:
     """[tau+b, tau] systematic code where symbol j survives any burst of up
@@ -189,35 +190,35 @@ def block_delay_violations(code: BlockCode) -> list[tuple[int, int, int]]:
     return bad
 
 
-BLOCK_CODE_TRIES = 64  # seeds `build_block_code` draws before it gives up
-
-
 def build_block_code(tau: int, b: int, fld: GF, seed: int = 0) -> BlockCode:
-    """Draw parity coefficients from a Cauchy pool and verify exhaustively.
+    """Draw parity coefficients from a Cauchy pool, once, and verify them
+    exhaustively; `verified` records the check.
 
     Entries above the diagonal in the first b columns are forced to zero:
     symbol j < b may only lean on parities 0..j, so parity l must not mix
-    in message symbols j in (l, b). Redraws with an incremented seed until
-    verification passes, at most BLOCK_CODE_TRIES times.
+    in message symbols j in (l, b). Every other entry is the pool's (l, j),
+    and l < b <= tau.
+
+    Every draw verifies. A burst erases message symbols E = s..s+L-1 and
+    the first r parities, with L + r <= b (when r > 0 the burst runs
+    through symbol tau - 1, so s = tau - L >= r). Symbol j in E may use
+    parities r..min(b-1, j). Each parity l < s is zero on the columns of E
+    below b, so rows r..min(s, b)-1, restricted to E, are a Cauchy block
+    on B (the columns of E from b on) and zero elsewhere. That block has
+    min(s, b) - r >= |B| rows, so it has full column rank and fixes B.
+    If j >= b, j is in B. Otherwise rows s..j, with B cancelled, are zero
+    on the columns of E after j and lower-triangular on s..j, with nonzero
+    Cauchy entries on the diagonal, so they fix symbol j.
     """
+    if not 1 <= b <= tau:
+        raise ValueError(f"block code needs 1 <= b <= tau, got tau={tau}, b={b}")
     if fld.order < 2 * tau:
         raise ValueError("field too small to draw distinct Cauchy points")
-    for attempt in range(BLOCK_CODE_TRIES):
-        pool = build_cauchy(tau, fld, seed + attempt)
-        coeffs = [
-            [
-                0 if (j <= b - 1 and j > l) else pool.entry(l % tau, j)
-                for j in range(tau)
-            ]
-            for l in range(b)
-        ]
-        code = BlockCode(tau, b, fld, coeffs, verified=False)
-        if not block_delay_violations(code):
-            code.verified = True
-            return code
-    raise BlockCodeSearchError(
-        f"no verified draw for tau={tau}, b={b} in {BLOCK_CODE_TRIES} tries"
-    )
+    pool = build_cauchy(tau, fld, seed)
+    coeffs = [[0 if l < j < b else pool.entry(l, j) for j in range(tau)] for l in range(b)]
+    code = BlockCode(tau, b, fld, coeffs, verified=False)
+    code.verified = not block_delay_violations(code)
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ Each fact about a stream is checked once, where the stream enters a codec:
   above m, and a block size d given to the offline schemes alone. An
   offline scheme's own rules (parameters in its lemma's family, a d it
   can split) are checked by constructing its `baselines.OfflineScheme`,
-  and its sequence must be the scheme's.
+  and its sequence must be the scheme's. A VGMS binding also refuses a
+  stream it cannot flush: a message whose tail, sent in the parity tau
+  slots on, would land past slot t (the diagonal code refuses a nonzero
+  message there).
 - `channel.check_received` checks a received list (its length, each
   packet's length against n_sizes, and the field) for both decoders, and
   returns the erased runs. Only the VGMS decoder reads them, to require an
@@ -51,6 +54,14 @@ class VgmsCodec:
         self.field = fld
         self.seq = seq
         self.layout = vgms.packet_layout(seq, p)
+        # a tail rides in the parity tau slots on, which must be sent by t
+        tails = self.layout.tail_sizes
+        late = next((i for i in range(p.t + 1 - p.tau, p.t + 1) if tails[i]), None)
+        if late is not None:
+            raise ValueError(
+                f"message at slot {late} cannot be flushed by slot t={p.t}; "
+                "terminate the sequence first"
+            )
         self.matrix = build_cauchy(p.tau * p.m, fld, seed)
         self.tau_l = 0
         self._n_sizes = self.layout.n_sizes

@@ -9,10 +9,12 @@ reference schemes, confirms their exact rates, computes the prefix budget
 an R2-achieving scheme must send there), and checks budget < demand.
 
 The regime rule and the scheme pairs live in `baselines`; `REGIMES` and
-`classify_regime` are imported from there. A scheme checks itself when it
-is constructed, so `run_gap` raises ValueError for parameters outside the
-lemma's family or a d that either scheme cannot split, and `gap_cells`
-reads each scheme's `scheme_d_step` without building one.
+`classify_regime` are imported from there. `classify_regime` returns only
+`REGIMES` labels, so `sweep_classifier` needs no label check. A scheme
+checks itself when it is constructed, so `run_gap` raises ValueError for
+parameters outside the lemma's family or a d that either scheme cannot
+split, and `gap_cells` reads each scheme's `scheme_d_step` without
+building one.
 """
 
 from __future__ import annotations
@@ -112,7 +114,11 @@ def _cyclic_channels_ok(
 ) -> bool:
     """The averaging argument, executed: the channels erasing bursts at
     slots congruent to i (mod tau+b) together drop every packet exactly b
-    times, and each leaves at least d*tau symbols standing."""
+    times, and each leaves at least d*tau symbols standing.
+
+    Every slot in 0..t is dropped by exactly b of the tau+b channels, so
+    the drops always sum to b times the total; the check that they sum to
+    b*d*(tau+b) is the check that the total is d*(tau+b)."""
     n_sizes = st2.n_sizes
     t = st2.seq.t
     period = tau + b
@@ -127,9 +133,7 @@ def _cyclic_channels_ok(
         dropped_per_channel.append(sum(n_sizes[s] for s in dropped))
     details["cyclic_dropped"] = dropped_per_channel
     total = sum(n_sizes)
-    if sum(dropped_per_channel) != b * total:
-        return False
-    if sum(dropped_per_channel) != d * b * period:  # == b * d * (tau + b)
+    if sum(dropped_per_channel) != d * b * period:
         return False
     return all(total - li >= d * tau for li in dropped_per_channel)
 

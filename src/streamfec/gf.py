@@ -138,9 +138,6 @@ class GF:
                 a ^= self.poly
         return acc
 
-    def __repr__(self) -> str:
-        return f"GF(2^{self.degree}, poly=0x{self.poly:x})"
-
 
 def in_field(fld: GF, symbols: Sequence[int]) -> bool:
     """Is every symbol an int element of `fld`?

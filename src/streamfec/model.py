@@ -20,7 +20,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .gf import GF
 
@@ -97,47 +97,34 @@ def _integer_sizes(sizes: Iterable[int]) -> list[int]:
     return out
 
 
-class SizeSequence:
-    """A message size sequence; reads outside [0, t] return 0."""
+class SizeSequence(tuple):
+    """A message size sequence: the tuple of the sizes of slots 0..t, each
+    an int >= 0. `size` reads 0 outside [0, t]."""
 
-    def __init__(self, sizes: Iterable[int]) -> None:
-        self._sizes = tuple(_integer_sizes(sizes))
-        if any(k < 0 for k in self._sizes):
+    __slots__ = ()
+
+    def __new__(cls, sizes: Iterable[int]) -> SizeSequence:
+        self = super().__new__(cls, _integer_sizes(sizes))
+        if any(k < 0 for k in self):
             raise ValueError("message sizes must be >= 0")
+        return self
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return self._sizes
+        return self
 
     @property
     def t(self) -> int:
-        return len(self._sizes) - 1
+        return len(self) - 1
 
     @property
     def total(self) -> int:
-        return sum(self._sizes)
+        return sum(self)
 
     def size(self, i: int) -> int:
-        if 0 <= i < len(self._sizes):
-            return self._sizes[i]
+        if 0 <= i < len(self):
+            return self[i]
         return 0
-
-    def __len__(self) -> int:
-        return len(self._sizes)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._sizes)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SizeSequence):
-            return self._sizes == other._sizes
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._sizes)
-
-    def __repr__(self) -> str:
-        return f"SizeSequence({list(self._sizes)})"
 
 
 def terminate_sizes(raw: Sequence[int], tau: int, m: int) -> SizeSequence:

@@ -90,8 +90,6 @@ class VgmsLayout:
         # slots before slot i whose head is nonempty, indexed 0..t+1, so a
         # window of slots lo..j-1 holds a head iff the two counts differ
         self.head_counts: list[int] = [0]
-        # spare-parity minimum at each split, None before slot b
-        self.budgets: list[int | None] = []
 
     def split(self, k: int) -> int:
         """Split the next slot's message of `k` symbols; returns its head size.
@@ -102,7 +100,6 @@ class VgmsLayout:
         i = len(self.k_sizes)
         if k > p.m:
             raise ValueError(f"message size {k} at slot {i} exceeds m={p.m}")
-        budget = None
         head = 0
         if i >= p.b:
             budget = parity_budget(self.k_sizes, self.parity_sizes, i, p.tau, p.b)
@@ -111,7 +108,6 @@ class VgmsLayout:
         self.head_sizes.append(head)
         self.tail_sizes.append(k - head)
         self.parity_sizes.append(k - head)  # lands at slot i + tau
-        self.budgets.append(budget)
         self.n_sizes.append(k + self.parity_sizes[i])  # slot i's parity is set by now
         self.head_counts.append(self.head_counts[i] + (head > 0))
         return head

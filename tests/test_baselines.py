@@ -111,6 +111,12 @@ def test_block_code_needs_2_tau_field_points():
         build_block_code(3, 1, GF(2))  # 4 elements, 6 points
 
 
+@pytest.mark.parametrize("b", [0, 4])
+def test_block_code_needs_b_from_1_to_tau(b):
+    with pytest.raises(ValueError, match=f"needs 1 <= b <= tau, got tau=3, b={b}"):
+        build_block_code(3, b, GF(8))
+
+
 def test_block_code_corruption_detected():
     code = build_block_code(4, 2, GF(8), seed=0)
     broken = BlockCode(
@@ -318,3 +324,17 @@ def test_packet_values_equal_the_mul_reference(degree):
         flat = [0 if n % 3 == 0 else s for n, s in enumerate(s for pkt in payload for s in pkt)]
         want = [[baselines._eval_row(fld, row, flat) for row in rows] for rows in stream.slot_rows]
         assert stream.packet_values(flat, fld) == want
+
+
+def test_every_first_block_code_draw_verifies():
+    # build_block_code draws once, and its docstring proves that every draw
+    # meets every deadline: here in the smallest field with 2 * tau points
+    # and in GF(2^8), for every b and five seeds
+    for tau in range(1, 9):
+        smallest = max(1, (2 * tau - 1).bit_length())
+        for degree in {smallest, 8}:
+            fld = GF(degree)
+            for b in range(1, tau + 1):
+                for seed in range(5):
+                    code = build_block_code(tau, b, fld, seed)
+                    assert code.verified, (tau, b, degree, seed)

@@ -42,3 +42,6 @@ def test_committed_record_is_a_full_run():
     doc = json.loads((ROOT / "bench" / "BENCH_coverage.json").read_text())
     assert doc["paths"] == ["tests"]
     check_record(doc)
+    # every executable line of src runs under tests/; a line that cannot
+    # run needs an explained change here
+    assert doc["missed"] == 0

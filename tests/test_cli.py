@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -19,6 +21,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_python_dash_m_runs_the_command_line(capsys, monkeypatch):
+    # `python -m streamfec --help`, run in this process so that the entry
+    # point's own lines run under the tests
+    monkeypatch.setattr(sys, "argv", ["streamfec", "--help"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("streamfec", run_name="__main__")
+    assert exited.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: streamfec ") and "Streaming erasure codes" in out
 
 
 def test_encode_reference_stream(capsys, tmp_path):

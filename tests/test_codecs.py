@@ -1,6 +1,7 @@
 """Codec adapters check their binding once, and reject symbols outside the
 field and corrupted packets at their boundaries."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from streamfec.baselines import OfflineScheme
 from streamfec.codecs import CODEC_IDS, bind_codec
 from streamfec.gf import GF
-from streamfec.model import make_params, random_payload, terminate_sizes
+from streamfec.model import SizeSequence, make_params, random_payload, terminate_sizes
+from streamfec.oracle import verify_stream
 
 # (tau, b, tau_l) of each offline scheme family's binding below, all at d = 2
 SCHEME_POINTS = {"lemma1": (5, 2, 3), "lemma2": (3, 2, 1), "lemma3": (3, 1, 1)}
@@ -119,3 +121,46 @@ def test_vgms_payload_must_match_the_sequence():
     payload[0].append(1)
     with pytest.raises(ValueError, match="payload does not match"):
         codec.encode(payload)
+
+
+def test_vgms_refuses_a_stream_it_cannot_flush():
+    # at tau=2, b=1 the tail of slot 2 of [4, 4, 4] would ride in slot 4's
+    # parity, past t=2; [4, 4, 0] ends without a tail, so it binds
+    fld = GF(8)
+    p = make_params(2, 1, m=4, t=2)
+    with pytest.raises(
+        ValueError,
+        match=r"^message at slot 2 cannot be flushed by slot t=2; terminate the sequence first$",
+    ):
+        bind_codec("vgms", p, fld, SizeSequence([4, 4, 4]))
+    seq = SizeSequence([4, 4, 0])
+    codec = bind_codec("vgms", p, fld, seq)
+    assert verify_stream(codec, random_payload(seq, fld, 0), "full") is None
+
+
+def test_every_unterminated_vgms_stream_that_binds_verifies():
+    # the refusal reads the tails, not the last tau sizes, so it lets
+    # through unterminated streams that flush, and each of them verifies
+    fld = GF(8)
+    rng = random.Random(0)
+    unterminated = refused = 0
+    for _ in range(150):
+        tau = rng.randint(1, 5)
+        b = rng.randint(1, tau)
+        m = rng.randint(1, 3)
+        sizes = [rng.randint(0, m) for _ in range(tau + rng.randint(1, 3))]
+        if rng.random() < 0.5:  # end on 1..tau zeros
+            zeros = rng.randint(1, tau)
+            sizes[-zeros:] = [0] * zeros
+        p = make_params(tau, b, m=m, t=len(sizes) - 1, w=tau + rng.randint(1, 3))
+        seq = SizeSequence(sizes)
+        try:
+            codec = bind_codec("vgms", p, fld, seq)
+        except ValueError as exc:
+            assert "cannot be flushed" in str(exc)
+            refused += 1
+            continue
+        unterminated += any(sizes[-tau:])
+        payload = random_payload(seq, fld, rng.randrange(100))
+        assert verify_stream(codec, payload, "full") is None, (tau, b, p.w, sizes)
+    assert unterminated and refused

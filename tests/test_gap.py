@@ -1,6 +1,7 @@
 """Regime classification and the online-versus-offline separation runs."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from streamfec.gap import (
     sweep_classifier,
 )
 from streamfec.gf import GF
+from streamfec.model import SizeSequence
 
 
 def accepts(scheme_id, tau, b, tau_l, d):
@@ -204,3 +206,19 @@ def test_rate_cross_check_fails_on_a_stated_rate_that_is_off(monkeypatch, capsys
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: scheme rates 2/3, 5/7 differ from stated")
+
+
+def test_cyclic_channels_drop_every_slot_b_times():
+    # _cyclic_channels_ok checks only that the drops sum to b*d*(tau+b):
+    # on any stream, the tau+b channels together drop each slot b times
+    rng = random.Random(0)
+    for _ in range(200):
+        tau = rng.randint(1, 8)
+        b = rng.randint(1, tau)
+        t = rng.randint(0, 3 * (tau + b))
+        slot_rows = [[{}] * rng.randint(0, 5) for _ in range(t + 1)]
+        st = baselines.LinearStream(SizeSequence([0] * (t + 1)), 0, slot_rows)
+        details: dict = {}
+        gap._cyclic_channels_ok(st, tau, b, 1, details)
+        assert len(details["cyclic_dropped"]) == tau + b
+        assert sum(details["cyclic_dropped"]) == b * sum(st.n_sizes), (tau, b, t)
